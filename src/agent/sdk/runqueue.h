@@ -1,5 +1,5 @@
 // Policy-SDK runqueue primitives: the one runqueue implementation surface
-// that DispatchPolicy authors compose instead of hand-rolling.
+// that Policy authors compose instead of hand-rolling.
 //
 // FifoRunqueue backs the Shinjuku/Snap-style FIFO policies (Fig 3/4);
 // MinRunqueue is an ordered queue keyed by a policy-chosen value — elapsed

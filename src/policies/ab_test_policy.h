@@ -3,7 +3,7 @@
 // The paper's §3.4 upgrade story replaces the whole agent process; fleets
 // additionally want to *canary* a scheduler change on a slice of threads
 // before promoting it. This policy implements that split inside one
-// DispatchPolicy: every thread is hashed into a lane ("base" or "canary",
+// Policy: every thread is hashed into a lane ("base" or "canary",
 // canary_percent of the tid space), each lane's scheduling behavior can
 // differ (the canary here runs LIFO instead of FIFO when canary_lifo is
 // set — a deliberately visible behavioral delta), and all counters are kept
@@ -23,7 +23,7 @@
 
 #include "src/agent/agent_context.h"
 #include "src/agent/agent_process.h"
-#include "src/agent/dispatch_policy.h"
+#include "src/agent/policy.h"
 #include "src/agent/sdk/runqueue.h"
 #include "src/agent/task_table.h"
 #include "src/base/flat_map.h"
@@ -31,7 +31,7 @@
 
 namespace gs {
 
-class AbTestPolicy : public DispatchPolicy {
+class AbTestPolicy : public Policy {
  public:
   struct Options {
     // Share of the tid space routed to the canary lane, 0..100.

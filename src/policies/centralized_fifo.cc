@@ -1,12 +1,12 @@
 #include "src/policies/centralized_fifo.h"
 
-#include "src/agent/agent_process.h"
-
 #include <algorithm>
 
 namespace gs {
 
-CentralizedFifoPolicy::CentralizedFifoPolicy(Options options) : options_(std::move(options)) {
+CentralizedFifoPolicy::CentralizedFifoPolicy(Options options)
+    : GlobalAgentPolicy(options.global_cpu, /*hot_handoff=*/true),
+      options_(std::move(options)) {
   if (!options_.tier_of) {
     options_.tier_of = [](int64_t) { return 0; };
   }
@@ -14,9 +14,7 @@ CentralizedFifoPolicy::CentralizedFifoPolicy(Options options) : options_(std::mo
 
 void CentralizedFifoPolicy::Attached(AgentProcess* process, Enclave* enclave,
                                      Kernel* kernel) {
-  enclave_ = enclave;
-  process_ = process;
-  global_cpu_ = options_.global_cpu >= 0 ? options_.global_cpu : enclave->cpus().First();
+  GlobalAgentPolicy::Attached(process, enclave, kernel);
   running_.assign(kernel->topology().num_cpus(), Running{});
   if (options_.use_fastpath) {
     enclave->InstallFastPath(RingFastPath::Global(kernel->topology().num_cpus()));
@@ -29,12 +27,12 @@ void CentralizedFifoPolicy::Restore(const std::vector<Enclave::TaskInfo>& dump) 
   fifo_[0].Clear();
   fifo_[1].Clear();
   running_.assign(running_.size(), Running{});
-  table_.Clear();
+  table().Clear();
   for (const Enclave::TaskInfo& info : dump) {
     // Route future messages to this policy's (default) queue, regardless of
     // what the previous agent had configured.
-    CHECK(enclave_->AssociateQueue(info.tid, enclave_->default_queue()));
-    PolicyTask* task = table_.Add(info.tid);
+    CHECK(enclave()->AssociateQueue(info.tid, enclave()->default_queue()));
+    PolicyTask* task = table().Add(info.tid);
     task->tseq = info.tseq;
     task->affinity = info.affinity;
     task->tier = options_.tier_of(info.tid);
@@ -58,8 +56,8 @@ void CentralizedFifoPolicy::Enqueue(PolicyTask* task, bool front) {
   }
   // Publish to the fast-path ring: if a CPU idles before the agent's next
   // loop iteration, its pick_next_task hook runs this thread immediately.
-  if (options_.use_fastpath && task->tier == 0 && enclave_->fastpath() != nullptr) {
-    enclave_->fastpath()->Publish(0, task->tid);
+  if (options_.use_fastpath && task->tier == 0 && enclave()->fastpath() != nullptr) {
+    enclave()->fastpath()->Publish(0, task->tid);
   }
 }
 
@@ -83,98 +81,64 @@ PolicyTask* CentralizedFifoPolicy::PopNext() {
   return task != nullptr ? task : PopTier(1);
 }
 
-void CentralizedFifoPolicy::ClearRunning(PolicyTask* task) {
-  const int cpu = task->assigned_cpu;
-  if (cpu >= 0 && cpu < static_cast<int>(running_.size()) &&
-      running_[cpu].task == task) {
+void CentralizedFifoPolicy::ClearRunning(int cpu, PolicyTask* task) {
+  if (cpu >= 0 && cpu < static_cast<int>(running_.size()) && running_[cpu].task == task) {
     running_[cpu] = Running{};
   }
 }
 
-void CentralizedFifoPolicy::HandleMessage(const Message& msg) {
-  // Snapshot the pre-apply assignment: Apply() clears it.
-  PolicyTask* prior = table_.Find(msg.tid);
-  const int prior_cpu = prior != nullptr ? prior->assigned_cpu : -1;
-
-  PolicyTask* task = nullptr;
-  switch (table_.Apply(msg, &task)) {
-    case TaskTable::Event::kNew:
-      task->tier = options_.tier_of(task->tid);
-      if (task->runnable && !task->queued) {
-        Enqueue(task, /*front=*/false);
-      }
-      break;
-    case TaskTable::Event::kRunnable:
-      if (prior_cpu >= 0 && prior_cpu < static_cast<int>(running_.size()) &&
-          running_[prior_cpu].task == task) {
-        running_[prior_cpu] = Running{};
-      }
-      if (!task->queued) {
-        // Preempted / expired requests rejoin at the back (Shinjuku FIFO).
-        Enqueue(task, /*front=*/false);
-      }
-      break;
-    case TaskTable::Event::kBlocked:
-      if (prior_cpu >= 0 && prior_cpu < static_cast<int>(running_.size()) &&
-          running_[prior_cpu].task == task) {
-        running_[prior_cpu] = Running{};
-      }
-      DequeueFromRunqueue(task);
-      break;
-    case TaskTable::Event::kDead:
-      ClearRunning(task);
-      DequeueFromRunqueue(task);
-      table_.Remove(msg.tid);
-      break;
-    case TaskTable::Event::kAffinity:
-    case TaskTable::Event::kNone:
-      break;
+void CentralizedFifoPolicy::Requeue(int cpu, PolicyTask* task) {
+  ClearRunning(cpu, task);
+  if (!task->queued) {
+    // Preempted / expired requests rejoin at the back (Shinjuku FIFO).
+    Enqueue(task, /*front=*/false);
   }
 }
 
-AgentAction CentralizedFifoPolicy::RunAgent(AgentContext& ctx) {
-  if (ctx.agent_cpu() != global_cpu_) {
-    return AgentAction::kBlock;  // inactive agent (Fig 2)
+void CentralizedFifoPolicy::TaskNew(AgentContext& ctx, PolicyTask* task, const Message& msg) {
+  task->tier = options_.tier_of(task->tid);
+  if (task->runnable && !task->queued) {
+    Enqueue(task, /*front=*/false);
   }
-  bool progress = false;
+}
+
+void CentralizedFifoPolicy::TaskWakeup(AgentContext& ctx, PolicyTask* task,
+                                       const Message& msg) {
+  Requeue(msg.cpu, task);
+}
+
+void CentralizedFifoPolicy::TaskPreempted(AgentContext& ctx, PolicyTask* task,
+                                          const Message& msg) {
+  Requeue(msg.cpu, task);
+}
+
+void CentralizedFifoPolicy::TaskYield(AgentContext& ctx, PolicyTask* task,
+                                      const Message& msg) {
+  Requeue(msg.cpu, task);
+}
+
+void CentralizedFifoPolicy::TaskBlocked(AgentContext& ctx, PolicyTask* task,
+                                        const Message& msg) {
+  ClearRunning(msg.cpu, task);
+  DequeueFromRunqueue(task);
+}
+
+void CentralizedFifoPolicy::TaskDead(AgentContext& ctx, PolicyTask* task, const Message& msg) {
+  ClearRunning(task->assigned_cpu, task);
+  DequeueFromRunqueue(task);
+}
+
+void CentralizedFifoPolicy::TaskDeparted(AgentContext& ctx, PolicyTask* task,
+                                         const Message& msg) {
+  TaskDead(ctx, task, msg);
+}
+
+AgentAction CentralizedFifoPolicy::Schedule(AgentContext& ctx) {
+  // The base already drained the global queue (Fig 4: DrainMessageQueue()).
   ctx.Charge(options_.extra_loop_cost);
+  auto& assignments = this->assignments();
 
-  // Hot handoff (§3.3): if the kernel wants to run a non-ghOSt thread on
-  // this CPU, wake the inactive agent on an idle CPU to become the new
-  // global agent, then vacate. Policy state is shared process memory, so the
-  // successor resumes seamlessly.
-  if (ctx.HigherClassWaitersOn(global_cpu_)) {
-    const CpuMask idle = ctx.AvailableCpus();
-    for (int cpu = idle.First(); cpu >= 0; cpu = idle.NextAfter(cpu)) {
-      Task* successor = process_->agent_on(cpu);
-      if (successor == nullptr || successor->state() != TaskState::kBlocked) {
-        continue;
-      }
-      global_cpu_ = cpu;
-      ++hot_handoffs_;
-      ctx.Charge(ctx.kernel()->cost().syscall + ctx.kernel()->cost().agent_wakeup);
-      ctx.kernel()->Wake(successor);
-      // Yield (not block): the waiting CFS thread takes this CPU, and the
-      // old agent re-blocks as a normal inactive agent on its next run.
-      return AgentAction::kYield;
-    }
-    // No idle CPU to hand off to: keep scheduling (the kernel thread waits,
-    // exactly as when all CPUs are busy).
-  }
-
-  // 1. Drain the global queue (Fig 4: DrainMessageQueue()).
-  scratch_msgs_.clear();
-  if (ctx.Drain(enclave_->default_queue(), &scratch_msgs_) > 0) {
-    progress = true;
-  }
-  for (const Message& msg : scratch_msgs_) {
-    HandleMessage(msg);
-  }
-
-  assignments_scratch_.clear();
-  std::vector<std::pair<int, PolicyTask*>>& assignments = assignments_scratch_;
-
-  // 2. Timeslice rotation (Shinjuku: preempt after the allotted slice and
+  // 1. Timeslice rotation (Shinjuku: preempt after the allotted slice and
   // move the request to the back of the FIFO).
   const Duration slice = options_.preemption_timeslice;
   if (slice > 0) {
@@ -197,7 +161,7 @@ AgentAction CentralizedFifoPolicy::RunAgent(AgentContext& ctx) {
     }
   }
 
-  // 3. Latency-critical wakeups preempt batch threads immediately.
+  // 2. Latency-critical wakeups preempt batch threads immediately.
   if (!fifo_[0].empty()) {
     for (int cpu = 0; cpu < static_cast<int>(running_.size()); ++cpu) {
       Running& run = running_[cpu];
@@ -216,7 +180,7 @@ AgentAction CentralizedFifoPolicy::RunAgent(AgentContext& ctx) {
     }
   }
 
-  // 4. Fill available CPUs (Fig 4: GetIdleCPUs()).
+  // 3. Fill available CPUs (Fig 4: GetIdleCPUs()).
   const CpuMask avail = ctx.AvailableCpus();
   for (int cpu = avail.First(); cpu >= 0; cpu = avail.NextAfter(cpu)) {
     PolicyTask* next = PopNext();
@@ -227,43 +191,21 @@ AgentAction CentralizedFifoPolicy::RunAgent(AgentContext& ctx) {
     assignments.emplace_back(cpu, next);
   }
 
-  // 5. Group-commit all assignments (Fig 4: Schedule()), split into chunks
+  // 4. Group-commit all assignments (Fig 4: Schedule()), split into chunks
   // of at most max_group_commit transactions per syscall.
-  if (!assignments.empty()) {
-    txn_storage_scratch_.assign(assignments.size(), Transaction{});
-    txn_ptrs_scratch_.resize(assignments.size());
-    std::vector<Transaction>& storage = txn_storage_scratch_;
-    std::vector<Transaction*>& txns = txn_ptrs_scratch_;
-    for (size_t i = 0; i < assignments.size(); ++i) {
-      storage[i] = AgentContext::MakeTxn(assignments[i].second->tid, assignments[i].first);
-      if (options_.use_tseq) {
-        storage[i].expected_tseq = assignments[i].second->tseq;
-      }
-      txns[i] = &storage[i];
-    }
-    const size_t chunk = static_cast<size_t>(options_.max_group_commit);
-    for (size_t off = 0; off < txns.size(); off += chunk) {
-      ctx.Commit(std::span<Transaction*>(txns).subspan(off, std::min(chunk, txns.size() - off)));
-    }
-    for (size_t i = 0; i < assignments.size(); ++i) {
-      auto [cpu, task] = assignments[i];
-      if (storage[i].committed()) {
-        task->assigned_cpu = cpu;
-        task->last_cpu = cpu;
-        running_[cpu] = Running{task, ctx.start() + ctx.cost()};
-        ++scheduled_;
-        progress = true;
-      } else {
-        ++txn_failures_;
-        // Transaction failed: re-enqueue and retry next loop (Fig 4).
-        if (task->runnable && !task->queued) {
+  const bool committed = CommitAssignments(
+      ctx, options_.use_tseq,
+      [this, &ctx](int cpu, PolicyTask* task, bool ok) {
+        if (ok) {
+          running_[cpu] = Running{task, ctx.start() + ctx.cost()};
+        } else if (task->runnable && !task->queued) {
+          // Transaction failed: re-enqueue and retry next loop (Fig 4).
           Enqueue(task, /*front=*/true);
         }
-      }
-    }
-  }
+      },
+      static_cast<size_t>(options_.max_group_commit));
 
-  // 6. Arm the next slice-expiry wakeup so preemption is punctual even when
+  // 5. Arm the next slice-expiry wakeup so preemption is punctual even when
   // no messages arrive. Pointless (and livelock-prone) unless someone is
   // actually waiting to rotate in.
   if (slice > 0 && queue_depth() > 0) {
@@ -280,7 +222,8 @@ AgentAction CentralizedFifoPolicy::RunAgent(AgentContext& ctx) {
     }
   }
 
-  return progress ? AgentAction::kRunAgain : AgentAction::kPollWait;
+  // Any drained message counts as progress (Fig 4 keeps spinning).
+  return drained() > 0 || committed ? AgentAction::kRunAgain : AgentAction::kPollWait;
 }
 
 }  // namespace gs

@@ -18,15 +18,11 @@
 #include <functional>
 #include <vector>
 
-#include "src/agent/agent_context.h"
-#include "src/agent/policy.h"
-#include "src/agent/sdk/runqueue.h"
-#include "src/agent/sdk/timeslice.h"
-#include "src/agent/task_table.h"
+#include "src/agent/sdk/sdk.h"
 
 namespace gs {
 
-class CentralizedFifoPolicy : public Policy {
+class CentralizedFifoPolicy : public GlobalAgentPolicy {
  public:
   struct Options {
     // CPU hosting the global agent. -1 = first enclave CPU.
@@ -46,8 +42,8 @@ class CentralizedFifoPolicy : public Policy {
     // Install the BPF-analog fast path (§3.2/§5): overflow runnable threads
     // are published to a shared ring that idle CPUs pop from pick_next_task.
     bool use_fastpath = false;
-    // Extra per-iteration policy cost (models heavyweight scheduling loops;
-    // the §5 discussion's 30 us loop). Used by the fast-path ablation.
+    // Extra policy cost per scheduling pass (models heavyweight scheduling
+    // loops; the §5 discussion's 30 us loop). Used by the fast-path ablation.
     Duration extra_loop_cost = 0;
     // Cap on transactions per TXNS_COMMIT (group-commit ablation).
     int max_group_commit = INT32_MAX;
@@ -59,17 +55,21 @@ class CentralizedFifoPolicy : public Policy {
   const char* name() const override { return "centralized-fifo"; }
   void Attached(AgentProcess* process, Enclave* enclave, Kernel* kernel) override;
   void Restore(const std::vector<Enclave::TaskInfo>& dump) override;
-  AgentAction RunAgent(AgentContext& ctx) override;
 
   // Statistics.
-  uint64_t scheduled() const { return scheduled_; }
   uint64_t preemptions() const { return preemptions_; }
-  uint64_t txn_failures() const { return txn_failures_; }
-  uint64_t hot_handoffs() const { return hot_handoffs_; }
-  int global_cpu() const { return global_cpu_; }
   size_t queue_depth() const { return fifo_[0].size() + fifo_[1].size(); }
   int RunqueueDepth() const override { return static_cast<int>(queue_depth()); }
-  const TaskTable& table() const { return table_; }
+
+ protected:
+  AgentAction Schedule(AgentContext& ctx) override;
+  void TaskNew(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
+  void TaskWakeup(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
+  void TaskPreempted(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
+  void TaskYield(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
+  void TaskBlocked(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
+  void TaskDead(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
+  void TaskDeparted(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
 
  private:
   struct Running {
@@ -77,34 +77,25 @@ class CentralizedFifoPolicy : public Policy {
     Time since = 0;
   };
 
-  void HandleMessage(const Message& msg);
+  // A task became runnable: woke (`cpu` = -1), or was preempted or yielded
+  // off `cpu`. Forgets it on `cpu` and queues it at the back of its FIFO.
+  void Requeue(int cpu, PolicyTask* task);
   void Enqueue(PolicyTask* task, bool front);
   void DequeueFromRunqueue(PolicyTask* task);
   PolicyTask* PopNext();       // high tier first
   PolicyTask* PopTier(int tier);
-  void ClearRunning(PolicyTask* task);
+  // Forgets the policy's belief that `task` runs on `cpu`.
+  void ClearRunning(int cpu, PolicyTask* task);
 
   Options options_;
-  Enclave* enclave_ = nullptr;
-  int global_cpu_ = -1;
 
-  TaskTable table_;
   FifoRunqueue fifo_[2];
   // Dense cpu -> policy belief (task == nullptr means idle). The agent scans
   // this every loop iteration; ascending-index scans match the old std::map's
   // ascending-cpu order, so decisions are unchanged.
   std::vector<Running> running_;
-  std::vector<Message> scratch_msgs_;
-  // Per-iteration scratch, reused so the steady-state loop never mallocs.
-  std::vector<std::pair<int, PolicyTask*>> assignments_scratch_;
-  std::vector<Transaction> txn_storage_scratch_;
-  std::vector<Transaction*> txn_ptrs_scratch_;
 
-  AgentProcess* process_ = nullptr;
-  uint64_t scheduled_ = 0;
   uint64_t preemptions_ = 0;
-  uint64_t txn_failures_ = 0;
-  uint64_t hot_handoffs_ = 0;
 };
 
 }  // namespace gs

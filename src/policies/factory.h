@@ -7,12 +7,10 @@
 // a `PolicyEnv` (the runtime classifiers a spec cannot carry — tid -> tier,
 // tid -> cookie) to a ready-to-attach `Policy`.
 //
-// Authoring surface: new policies should subclass `DispatchPolicy`
-// (src/agent/dispatch_policy.h) — the typed message-dispatch adapter — and be
-// added to the factory table in factory.cc. Implementing raw `Policy` remains
-// supported for policies that need to own the full agent loop (the
-// centralized-FIFO family predates the adapter and delegates through it), but
-// the dispatch hooks + factory registration is the documented path.
+// Authoring surface: a new policy subclasses `Policy` (src/agent/policy.h),
+// whose typed message hooks are the only way to write one — the base owns
+// the agent loop — or the SDK's `GlobalAgentPolicy` for the centralized
+// shape, and is added to the factory table in factory.cc.
 #ifndef GHOST_SIM_SRC_POLICIES_FACTORY_H_
 #define GHOST_SIM_SRC_POLICIES_FACTORY_H_
 

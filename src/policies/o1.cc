@@ -175,7 +175,7 @@ void O1Policy::TaskBlocked(AgentContext& ctx, PolicyTask* task, const Message& m
 void O1Policy::Evict(AgentContext& ctx, PolicyTask* task) {
   Dequeue(task);
   states_.erase(task->tid);
-  // The DispatchPolicy base removes the TaskTable entry after this hook.
+  // The Policy base removes the TaskTable entry after this hook.
 }
 
 void O1Policy::TaskDead(AgentContext& ctx, PolicyTask* task, const Message& msg) {

@@ -16,7 +16,7 @@
 // gets a fresh slice and re-enters the ACTIVE array (sleepers are rewarded);
 // a task that calls sched_yield is demoted to the expired array.
 //
-// SDK consumer: message boilerplate lives in DispatchPolicy, the priority
+// SDK consumer: message boilerplate lives in the Policy base, the priority
 // arrays are sdk PrioArrayRunqueues, and slice accounting is an sdk
 // SliceBudget per task; this file keeps only the active/expired generation
 // logic and per-CPU homing that make the policy O(1)-shaped.
@@ -34,7 +34,7 @@
 
 namespace gs {
 
-class O1Policy : public DispatchPolicy {
+class O1Policy : public Policy {
  public:
   struct Options {
     // Priority levels; 0 is the highest. Must be in [1, 64] (one bitmap word).

@@ -1,5 +1,7 @@
 #include "src/policies/per_cpu_fifo.h"
 
+#include <utility>
+
 namespace gs {
 
 void PerCpuFifoPolicy::Attached(AgentProcess* process, Enclave* enclave, Kernel* kernel) {
@@ -65,7 +67,7 @@ void PerCpuFifoPolicy::CollectQueues(AgentContext& ctx,
 }
 
 void PerCpuFifoPolicy::TimerTick(AgentContext& ctx, const Message& msg) {
-  rotate_ = true;  // rotation decision is made in Schedule()
+  cpus_[msg.cpu].rotate = true;  // rotation decision is made in Schedule()
 }
 
 void PerCpuFifoPolicy::TaskNew(AgentContext& ctx, PolicyTask* task, const Message& msg) {
@@ -121,7 +123,7 @@ void PerCpuFifoPolicy::Evict(AgentContext& ctx, PolicyTask* task) {
     cpus_[HomeOf(task->tid, ctx.agent_cpu())].runqueue.Remove(task);
   }
   home_cpu_.Erase(task->tid);
-  // The DispatchPolicy base removes the TaskTable entry after this hook.
+  // The Policy base removes the TaskTable entry after this hook.
 }
 
 void PerCpuFifoPolicy::TaskDead(AgentContext& ctx, PolicyTask* task, const Message& msg) {
@@ -185,19 +187,18 @@ AgentAction PerCpuFifoPolicy::Schedule(AgentContext& ctx) {
   const int cpu = ctx.agent_cpu();
   CpuSched& cs = cpus_[cpu];
   const uint32_t aseq = ctx.ReadAseq();
-  const bool rotate = rotate_;
-  rotate_ = false;
-
-  if (cs.runqueue.empty()) {
-    return AgentAction::kBlock;
-  }
   // Round-robin on timer ticks: rotate the interrupted thread to the back.
-  if (rotate && cs.runqueue.size() >= 2) {
-    PolicyTask* front = cs.runqueue.Pop();
-    cs.runqueue.Push(front);
+  if (std::exchange(cs.rotate, false) && cs.runqueue.size() >= 2) {
+    cs.runqueue.Push(cs.runqueue.Pop());
   }
 
   PolicyTask* next = cs.runqueue.Pop();
+  if (next == nullptr) {
+    next = Steal(ctx, cpu);
+  }
+  if (next == nullptr) {
+    return AgentAction::kBlock;
+  }
   next->queued = false;
   Transaction txn = AgentContext::MakeTxn(next->tid, cpu);
   txn.expected_aseq = aseq;

@@ -7,25 +7,23 @@
 // thread, commits a local transaction tagged with its Aseq, and yields; an
 // ESTALE failure sends it back around the loop, exactly as in Fig 3.
 //
-// Reference consumer of the DispatchPolicy adapter: message boilerplate
-// (queue draining, TaskTable upkeep, per-type routing) lives in the base
-// class; this file keeps only the FIFO decisions — which runqueue a task
-// lands in per message type, and what Schedule() commits.
+// Reference consumer of the Policy hooks: message boilerplate (queue
+// draining, TaskTable upkeep, per-type routing) lives in the base class;
+// this file keeps only the FIFO decisions — which runqueue a task lands in
+// per message type, and what Schedule() commits.
 #ifndef GHOST_SIM_SRC_POLICIES_PER_CPU_FIFO_H_
 #define GHOST_SIM_SRC_POLICIES_PER_CPU_FIFO_H_
 
 #include <vector>
 
-#include "src/agent/agent_context.h"
 #include "src/agent/agent_process.h"
-#include "src/agent/dispatch_policy.h"
+#include "src/agent/policy.h"
 #include "src/agent/sdk/runqueue.h"
-#include "src/agent/task_table.h"
 #include "src/base/flat_map.h"
 
 namespace gs {
 
-class PerCpuFifoPolicy : public DispatchPolicy {
+class PerCpuFifoPolicy : public Policy {
  public:
   const char* name() const override { return "per-cpu-fifo"; }
   void Attached(AgentProcess* process, Enclave* enclave, Kernel* kernel) override;
@@ -43,7 +41,17 @@ class PerCpuFifoPolicy : public DispatchPolicy {
   }
 
  protected:
-  // DispatchPolicy hooks.
+  struct CpuSched {
+    MessageQueue* queue = nullptr;
+    FifoRunqueue runqueue;
+    bool rotate = false;  // a TIMER_TICK for this CPU landed
+  };
+
+  // Refills an agent whose own runqueue is empty; the returned task is
+  // committed on `cpu` as if popped from its runqueue. Default: nothing.
+  virtual PolicyTask* Steal(AgentContext& ctx, int cpu) { return nullptr; }
+
+  // Policy hooks.
   void CollectQueues(AgentContext& ctx, std::vector<MessageQueue*>* queues) override;
   AgentAction Schedule(AgentContext& ctx) override;
   void TaskNew(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
@@ -56,12 +64,13 @@ class PerCpuFifoPolicy : public DispatchPolicy {
   void TaskAffinity(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
   void TimerTick(AgentContext& ctx, const Message& msg) override;
 
- private:
-  struct CpuSched {
-    MessageQueue* queue = nullptr;
-    FifoRunqueue runqueue;
-  };
+  Enclave* enclave_ = nullptr;
+  // Dense cpu -> scheduling state (queue == nullptr for CPUs outside the
+  // enclave); indexed on every message and every Schedule() call.
+  std::vector<CpuSched> cpus_;
+  TidMap<int> home_cpu_;  // tid -> owning CPU
 
+ private:
   // Queues a freshly runnable task on its home CPU (front = resume-after-
   // preemption semantics) and notifies that CPU's agent.
   void EnqueueRunnable(AgentContext& ctx, PolicyTask* task, bool front);
@@ -76,16 +85,10 @@ class PerCpuFifoPolicy : public DispatchPolicy {
     return home == nullptr ? fallback : *home;
   }
 
-  Enclave* enclave_ = nullptr;
   AgentProcess* process_ = nullptr;
-  // Dense cpu -> scheduling state (queue == nullptr for CPUs outside the
-  // enclave); indexed on every message and every Schedule() call.
-  std::vector<CpuSched> cpus_;
-  TidMap<int> home_cpu_;  // tid -> owning CPU
   std::vector<int> cpu_list_;
   size_t rr_next_ = 0;
   int boss_cpu_ = -1;  // drains the default queue (new-thread announcements)
-  bool rotate_ = false;  // a TIMER_TICK landed this iteration
 
   uint64_t scheduled_ = 0;
   uint64_t estale_failures_ = 0;

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 
-#include "src/agent/agent_process.h"
 #include "src/base/logging.h"
 
 namespace gs {
 
 PredictiveShinjukuPolicy::PredictiveShinjukuPolicy(Options options)
-    : options_(std::move(options)), predictor_(options_.predictor) {
+    : GlobalAgentPolicy(options.global_cpu, /*hot_handoff=*/true),
+      options_(std::move(options)),
+      predictor_(options_.predictor) {
   if (!options_.tier_of) {
     options_.tier_of = [](int64_t) { return 0; };
   }
@@ -18,9 +19,7 @@ PredictiveShinjukuPolicy::PredictiveShinjukuPolicy(Options options)
 
 void PredictiveShinjukuPolicy::Attached(AgentProcess* process, Enclave* enclave,
                                         Kernel* kernel) {
-  enclave_ = enclave;
-  process_ = process;
-  global_cpu_ = options_.global_cpu >= 0 ? options_.global_cpu : enclave->cpus().First();
+  GlobalAgentPolicy::Attached(process, enclave, kernel);
   running_.assign(kernel->topology().num_cpus(), Running{});
 }
 
@@ -34,7 +33,7 @@ void PredictiveShinjukuPolicy::Restore(const std::vector<Enclave::TaskInfo>& dum
   states_.clear();
   table().Clear();
   for (const Enclave::TaskInfo& info : dump) {
-    CHECK(enclave_->AssociateQueue(info.tid, enclave_->default_queue()));
+    CHECK(enclave()->AssociateQueue(info.tid, enclave()->default_queue()));
     PolicyTask* task = table().Add(info.tid);
     task->tseq = info.tseq;
     task->affinity = info.affinity;
@@ -205,36 +204,8 @@ void PredictiveShinjukuPolicy::TaskDeparted(AgentContext& ctx, PolicyTask* task,
   TaskDead(ctx, task, msg);
 }
 
-void PredictiveShinjukuPolicy::CollectQueues(AgentContext& ctx,
-                                             std::vector<MessageQueue*>* queues) {
-  if (ctx.agent_cpu() == global_cpu_) {
-    queues->push_back(enclave_->default_queue());
-  }
-}
-
 AgentAction PredictiveShinjukuPolicy::Schedule(AgentContext& ctx) {
-  if (ctx.agent_cpu() != global_cpu_) {
-    return AgentAction::kBlock;  // inactive agent (Fig 2)
-  }
-
-  // Hot handoff (§3.3), exactly as in the probe-based centralized policy.
-  if (ctx.HigherClassWaitersOn(global_cpu_)) {
-    const CpuMask idle = ctx.AvailableCpus();
-    for (int cpu = idle.First(); cpu >= 0; cpu = idle.NextAfter(cpu)) {
-      Task* successor = process_->agent_on(cpu);
-      if (successor == nullptr || successor->state() != TaskState::kBlocked) {
-        continue;
-      }
-      global_cpu_ = cpu;
-      ++hot_handoffs_;
-      ctx.Charge(ctx.kernel()->cost().syscall + ctx.kernel()->cost().agent_wakeup);
-      ctx.kernel()->Wake(successor);
-      return AgentAction::kYield;
-    }
-  }
-
-  assignments_scratch_.clear();
-  std::vector<std::pair<int, PolicyTask*>>& assignments = assignments_scratch_;
+  auto& assignments = this->assignments();
 
   // 1. Fill idle CPUs first. Probe-Shinjuku preempts before it ever looks
   // at the idle set; doing it in this order means a long request is never
@@ -288,39 +259,17 @@ AgentAction PredictiveShinjukuPolicy::Schedule(AgentContext& ctx) {
     }
   }
 
-  // 3. Group-commit all assignments.
-  bool progress = false;
-  if (!assignments.empty()) {
-    txn_storage_scratch_.assign(assignments.size(), Transaction{});
-    txn_ptrs_scratch_.resize(assignments.size());
-    std::vector<Transaction>& storage = txn_storage_scratch_;
-    std::vector<Transaction*>& txns = txn_ptrs_scratch_;
-    for (size_t i = 0; i < assignments.size(); ++i) {
-      storage[i] = AgentContext::MakeTxn(assignments[i].second->tid,
-                                         assignments[i].first);
-      if (options_.use_tseq) {
-        storage[i].expected_tseq = assignments[i].second->tseq;
-      }
-      txns[i] = &storage[i];
-    }
-    ctx.Commit(txns);
-    for (size_t i = 0; i < assignments.size(); ++i) {
-      auto [cpu, task] = assignments[i];
-      if (storage[i].committed()) {
-        task->assigned_cpu = cpu;
-        task->last_cpu = cpu;
-        StateOf(task).on_cpu = cpu;
-        running_[cpu] = Running{task, ctx.start() + ctx.cost()};
-        ++scheduled_;
-        progress = true;
-      } else {
-        ++txn_failures_;
-        if (task->runnable && !task->queued) {
+  // 3. Group-commit all assignments. Unlike probe-Shinjuku, a drain alone
+  // is not progress: the agent poll-waits until something commits.
+  const bool progress = CommitAssignments(
+      ctx, options_.use_tseq, [this, &ctx](int cpu, PolicyTask* task, bool ok) {
+        if (ok) {
+          StateOf(task).on_cpu = cpu;
+          running_[cpu] = Running{task, ctx.start() + ctx.cost()};
+        } else if (task->runnable && !task->queued) {
           Enqueue(task, /*front=*/true);
         }
-      }
-    }
-  }
+      });
 
   // 4. Arm the earliest allowance expiry — but only while someone is
   // waiting to rotate in. When only predicted-shorts are running and the

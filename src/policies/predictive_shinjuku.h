@@ -27,7 +27,7 @@
 // (wakeup to block), so preemptions in the middle of a request do not
 // corrupt the training signal.
 //
-// SDK consumer: DispatchPolicy hooks + FifoRunqueue lanes + the
+// SDK consumer: GlobalAgentPolicy hooks + FifoRunqueue lanes + the
 // NextSliceWakeup arming helper. Tier-1 batch threads (Shenango-style) sit
 // in a third lane below both request lanes and are preempted on demand.
 #ifndef GHOST_SIM_SRC_POLICIES_PREDICTIVE_SHINJUKU_H_
@@ -44,7 +44,7 @@
 
 namespace gs {
 
-class PredictiveShinjukuPolicy : public DispatchPolicy {
+class PredictiveShinjukuPolicy : public GlobalAgentPolicy {
  public:
   struct Options {
     // CPU hosting the global agent. -1 = first enclave CPU.
@@ -73,14 +73,10 @@ class PredictiveShinjukuPolicy : public DispatchPolicy {
   void Restore(const std::vector<Enclave::TaskInfo>& dump) override;
 
   // Statistics.
-  uint64_t scheduled() const { return scheduled_; }
   uint64_t preemptions() const { return preemptions_; }
-  uint64_t txn_failures() const { return txn_failures_; }
-  uint64_t hot_handoffs() const { return hot_handoffs_; }
   uint64_t predicted_short() const { return predicted_short_; }
   uint64_t predicted_long() const { return predicted_long_; }
   uint64_t backstop_demotions() const { return backstop_demotions_; }
-  int global_cpu() const { return global_cpu_; }
   size_t queue_depth() const {
     return lanes_[0].size() + lanes_[1].size() + lanes_[2].size();
   }
@@ -88,7 +84,6 @@ class PredictiveShinjukuPolicy : public DispatchPolicy {
   const predict::ServiceTimePredictor& predictor() const { return predictor_; }
 
  protected:
-  void CollectQueues(AgentContext& ctx, std::vector<MessageQueue*>* queues) override;
   AgentAction Schedule(AgentContext& ctx) override;
   void TaskNew(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
   void TaskWakeup(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
@@ -134,23 +129,13 @@ class PredictiveShinjukuPolicy : public DispatchPolicy {
   PolicyTask* PopRequestLane();  // short then long, never batch
 
   Options options_;
-  Enclave* enclave_ = nullptr;
-  AgentProcess* process_ = nullptr;
-  int global_cpu_ = -1;
 
   predict::ServiceTimePredictor predictor_;
   FifoRunqueue lanes_[kNumLanes];
   std::vector<Running> running_;  // dense cpu -> policy belief
   std::map<int64_t, PredTask> states_;
-  // Per-iteration scratch, reused so the steady-state loop never mallocs.
-  std::vector<std::pair<int, PolicyTask*>> assignments_scratch_;
-  std::vector<Transaction> txn_storage_scratch_;
-  std::vector<Transaction*> txn_ptrs_scratch_;
 
-  uint64_t scheduled_ = 0;
   uint64_t preemptions_ = 0;
-  uint64_t txn_failures_ = 0;
-  uint64_t hot_handoffs_ = 0;
   uint64_t predicted_short_ = 0;
   uint64_t predicted_long_ = 0;
   uint64_t backstop_demotions_ = 0;

@@ -5,25 +5,25 @@
 namespace gs {
 
 SearchPolicy::SearchPolicy(Options options)
-    : options_(options),
+    : GlobalAgentPolicy(options.global_cpu, /*hot_handoff=*/false),
+      options_(options),
       placer_(TieredPlacer::Options{
           .ccx_aware = options.ccx_aware,
           .max_pending_before_migrate = options.max_pending_before_migrate}) {}
 
 void SearchPolicy::Attached(AgentProcess* process, Enclave* enclave, Kernel* kernel) {
-  enclave_ = enclave;
+  GlobalAgentPolicy::Attached(process, enclave, kernel);
   kernel_ = kernel;
   placer_.Attach(kernel);
-  global_cpu_ = options_.global_cpu >= 0 ? options_.global_cpu : enclave->cpus().First();
 }
 
 void SearchPolicy::Restore(const std::vector<Enclave::TaskInfo>& dump) {
   // Full view replacement (also the overflow-resync path).
   runqueue_.Clear();
-  table_.Clear();
+  table().Clear();
   for (const Enclave::TaskInfo& info : dump) {
-    enclave_->AssociateQueue(info.tid, enclave_->default_queue());
-    PolicyTask* task = table_.Add(info.tid);
+    enclave()->AssociateQueue(info.tid, enclave()->default_queue());
+    PolicyTask* task = table().Add(info.tid);
     task->tseq = info.tseq;
     task->affinity = info.affinity;
     task->runnable = info.runnable;
@@ -57,55 +57,46 @@ void SearchPolicy::EnqueueRunnable(AgentContext& ctx, PolicyTask* task) {
   runqueue_.Push(task, runtime);
 }
 
-void SearchPolicy::HandleMessage(AgentContext& ctx, const Message& msg) {
-  PolicyTask* task = nullptr;
-  switch (table_.Apply(msg, &task)) {
-    case TaskTable::Event::kNew:
-      if (task->runnable) {
-        EnqueueRunnable(ctx, task);
-      }
-      break;
-    case TaskTable::Event::kRunnable:
-      EnqueueRunnable(ctx, task);
-      break;
-    case TaskTable::Event::kBlocked:
-      if (task->queued) {
-        runqueue_.Remove(task);
-        task->queued = false;
-      }
-      break;
-    case TaskTable::Event::kDead:
-      if (task->queued) {
-        runqueue_.Remove(task);
-      }
-      if (options_.predictive_placement) {
-        affinity_.Forget(msg.tid);
-      }
-      table_.Remove(msg.tid);
-      break;
-    case TaskTable::Event::kAffinity:
-    case TaskTable::Event::kNone:
-      break;
+void SearchPolicy::TaskNew(AgentContext& ctx, PolicyTask* task, const Message& msg) {
+  if (task->runnable) {
+    EnqueueRunnable(ctx, task);
   }
 }
 
-AgentAction SearchPolicy::RunAgent(AgentContext& ctx) {
-  if (ctx.agent_cpu() != global_cpu_) {
-    return AgentAction::kBlock;
-  }
-  bool progress = false;
+void SearchPolicy::TaskWakeup(AgentContext& ctx, PolicyTask* task, const Message& msg) {
+  EnqueueRunnable(ctx, task);
+}
 
-  scratch_msgs_.clear();
-  if (ctx.Drain(enclave_->default_queue(), &scratch_msgs_) > 0) {
-    progress = true;
-  }
-  for (const Message& msg : scratch_msgs_) {
-    HandleMessage(ctx, msg);
-  }
+void SearchPolicy::TaskPreempted(AgentContext& ctx, PolicyTask* task, const Message& msg) {
+  EnqueueRunnable(ctx, task);
+}
 
+void SearchPolicy::TaskYield(AgentContext& ctx, PolicyTask* task, const Message& msg) {
+  EnqueueRunnable(ctx, task);
+}
+
+void SearchPolicy::TaskBlocked(AgentContext& ctx, PolicyTask* task, const Message& msg) {
+  if (task->queued) {
+    runqueue_.Remove(task);
+    task->queued = false;
+  }
+}
+
+void SearchPolicy::TaskDead(AgentContext& ctx, PolicyTask* task, const Message& msg) {
+  if (task->queued) {
+    runqueue_.Remove(task);
+  }
+  if (options_.predictive_placement) {
+    affinity_.Forget(task->tid);
+  }
+}
+
+void SearchPolicy::TaskDeparted(AgentContext& ctx, PolicyTask* task, const Message& msg) {
+  TaskDead(ctx, task, msg);
+}
+
+AgentAction SearchPolicy::Schedule(AgentContext& ctx) {
   CpuMask avail = ctx.AvailableCpus();
-  std::vector<std::pair<int, PolicyTask*>>& assignments = scratch_assignments_;
-  assignments.clear();
   // Walk the min-heap in runtime order; skip threads whose preferred CPUs
   // are busy and revisit them on the next loop iteration (§4.4). The copy
   // exists because the loop removes dispatched tasks from the runqueue.
@@ -130,46 +121,22 @@ AgentAction SearchPolicy::RunAgent(AgentContext& ctx) {
     avail.Clear(cpu);
     runqueue_.Remove(task);
     task->queued = false;
-    assignments.emplace_back(cpu, task);
+    assignments().emplace_back(cpu, task);
   }
 
-  if (!assignments.empty()) {
-    std::vector<Transaction>& storage = scratch_txns_;
-    storage.clear();
-    storage.resize(assignments.size());
-    std::vector<Transaction*>& txns = scratch_txn_ptrs_;
-    txns.clear();
-    txns.resize(assignments.size());
-    for (size_t i = 0; i < assignments.size(); ++i) {
-      storage[i] = AgentContext::MakeTxn(assignments[i].second->tid, assignments[i].first);
-      if (options_.use_tseq) {
-        storage[i].expected_tseq = assignments[i].second->tseq;
-      }
-      txns[i] = &storage[i];
-    }
-    ctx.Commit(txns);
-    for (size_t i = 0; i < assignments.size(); ++i) {
-      auto [cpu, task] = assignments[i];
-      if (storage[i].committed()) {
-        task->assigned_cpu = cpu;
-        task->last_cpu = cpu;
-        ++scheduled_;
-        progress = true;
-      } else {
-        ++txn_failures_;
-        if (task->runnable && !task->queued) {
+  const bool committed = CommitAssignments(
+      ctx, options_.use_tseq, [this](int cpu, PolicyTask* task, bool ok) {
+        if (!ok && task->runnable && !task->queued) {
           task->queued = true;
           runqueue_.Push(task, 0);  // retry promptly
         }
-      }
-    }
-  }
+      });
 
   // Deferred-for-warmth threads need a timed revisit even if nothing pokes.
   if (!runqueue_.empty() && options_.max_pending_before_migrate > 0) {
     ctx.RequestWakeupAt(ctx.start() + options_.max_pending_before_migrate);
   }
-  return progress ? AgentAction::kRunAgain : AgentAction::kPollWait;
+  return drained() > 0 || committed ? AgentAction::kRunAgain : AgentAction::kPollWait;
 }
 
 }  // namespace gs

@@ -27,14 +27,12 @@
 
 #include <vector>
 
-#include "src/agent/agent_context.h"
-#include "src/agent/policy.h"
 #include "src/agent/sdk/sdk.h"
 #include "src/predict/estimators.h"
 
 namespace gs {
 
-class SearchPolicy : public Policy {
+class SearchPolicy : public GlobalAgentPolicy {
  public:
   struct Options {
     int global_cpu = -1;
@@ -56,24 +54,27 @@ class SearchPolicy : public Policy {
   }
   void Attached(AgentProcess* process, Enclave* enclave, Kernel* kernel) override;
   void Restore(const std::vector<Enclave::TaskInfo>& dump) override;
-  AgentAction RunAgent(AgentContext& ctx) override;
 
-  uint64_t scheduled() const { return scheduled_; }
   uint64_t deferred_for_warmth() const { return placer_.deferred(); }
-  uint64_t txn_failures() const { return txn_failures_; }
   uint64_t hint_hits() const { return placer_.hint_hits(); }
   int RunqueueDepth() const override { return static_cast<int>(runqueue_.size()); }
 
+ protected:
+  AgentAction Schedule(AgentContext& ctx) override;
+  void TaskNew(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
+  void TaskWakeup(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
+  void TaskPreempted(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
+  void TaskYield(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
+  void TaskBlocked(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
+  void TaskDead(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
+  void TaskDeparted(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
+
  private:
-  void HandleMessage(AgentContext& ctx, const Message& msg);
   void EnqueueRunnable(AgentContext& ctx, PolicyTask* task);
 
   Options options_;
-  Enclave* enclave_ = nullptr;
   Kernel* kernel_ = nullptr;
-  int global_cpu_ = -1;
 
-  TaskTable table_;
   MinRunqueue runqueue_;  // keyed by elapsed runtime (with sleeper floor)
   TieredPlacer placer_;
   predict::WakeupAffinityPredictor affinity_;
@@ -81,17 +82,9 @@ class SearchPolicy : public Policy {
   // Sleeper-floor window: effectively unbounded reproduces the paper's plain
   // least-runtime heap; benchmarks may tighten it.
   Duration sleeper_window_ = Seconds(3600);
-  // Iteration scratch, reused across RunAgent calls: the global agent loops
-  // millions of times per run, so these keep their capacity instead of
-  // paying four vector allocations per iteration.
-  std::vector<Message> scratch_msgs_;
+  // Iteration scratch, reused across Schedule() calls: the global agent
+  // loops millions of times per run, so it keeps its capacity.
   std::vector<std::pair<int64_t, PolicyTask*>> scratch_ordered_;
-  std::vector<std::pair<int, PolicyTask*>> scratch_assignments_;
-  std::vector<Transaction> scratch_txns_;
-  std::vector<Transaction*> scratch_txn_ptrs_;
-
-  uint64_t scheduled_ = 0;
-  uint64_t txn_failures_ = 0;
 };
 
 }  // namespace gs

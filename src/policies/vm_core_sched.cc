@@ -4,20 +4,20 @@
 
 namespace gs {
 
-VmCoreSchedPolicy::VmCoreSchedPolicy(Options options) : options_(std::move(options)) {
+VmCoreSchedPolicy::VmCoreSchedPolicy(Options options)
+    : GlobalAgentPolicy(options.global_cpu, /*hot_handoff=*/false),
+      options_(std::move(options)) {
   CHECK(options_.cookie_of != nullptr);
 }
 
 void VmCoreSchedPolicy::Attached(AgentProcess* process, Enclave* enclave, Kernel* kernel) {
-  enclave_ = enclave;
-  kernel_ = kernel;
-  global_cpu_ = options_.global_cpu >= 0 ? options_.global_cpu : enclave->cpus().First();
+  GlobalAgentPolicy::Attached(process, enclave, kernel);
 
   // Build the schedulable core list: every physical core whose CPUs are all
   // in the enclave, except the global agent's own core (its sibling can
   // never be part of a secure pair while the agent spins).
   const Topology& topo = kernel->topology();
-  const int agent_core = topo.cpu(global_cpu_).core;
+  const int agent_core = topo.cpu(global_cpu()).core;
   for (int core = 0; core < topo.num_cores(); ++core) {
     if (core == agent_core) {
       continue;
@@ -45,27 +45,19 @@ VmCoreSchedPolicy::Vm* VmCoreSchedPolicy::VmOf(int64_t tid) {
   return &vm;
 }
 
-void VmCoreSchedPolicy::HandleMessage(const Message& msg) {
-  PolicyTask* task = nullptr;
-  switch (table_.Apply(msg, &task)) {
-    case TaskTable::Event::kNew: {
-      Vm* vm = VmOf(msg.tid);
-      vm->threads.push_back(task);
-      break;
-    }
-    case TaskTable::Event::kDead: {
-      Vm* vm = VmOf(msg.tid);
-      vm->threads.erase(std::remove(vm->threads.begin(), vm->threads.end(), task),
-                        vm->threads.end());
-      table_.Remove(msg.tid);
-      break;
-    }
-    case TaskTable::Event::kRunnable:
-    case TaskTable::Event::kBlocked:
-    case TaskTable::Event::kAffinity:
-    case TaskTable::Event::kNone:
-      break;
-  }
+void VmCoreSchedPolicy::TaskNew(AgentContext& ctx, PolicyTask* task, const Message& msg) {
+  VmOf(task->tid)->threads.push_back(task);
+}
+
+void VmCoreSchedPolicy::TaskDead(AgentContext& ctx, PolicyTask* task, const Message& msg) {
+  Vm* vm = VmOf(task->tid);
+  vm->threads.erase(std::remove(vm->threads.begin(), vm->threads.end(), task),
+                    vm->threads.end());
+}
+
+void VmCoreSchedPolicy::TaskDeparted(AgentContext& ctx, PolicyTask* task,
+                                     const Message& msg) {
+  TaskDead(ctx, task, msg);
 }
 
 int VmCoreSchedPolicy::RunnableThreads(const Vm& vm) const {
@@ -152,19 +144,8 @@ bool VmCoreSchedPolicy::PlaceVm(AgentContext& ctx, int core_index, Vm* vm) {
   return true;
 }
 
-AgentAction VmCoreSchedPolicy::RunAgent(AgentContext& ctx) {
-  if (ctx.agent_cpu() != global_cpu_) {
-    return AgentAction::kBlock;
-  }
-  bool progress = false;
-
-  scratch_msgs_.clear();
-  if (ctx.Drain(enclave_->default_queue(), &scratch_msgs_) > 0) {
-    progress = true;
-  }
-  for (const Message& msg : scratch_msgs_) {
-    HandleMessage(msg);
-  }
+AgentAction VmCoreSchedPolicy::Schedule(AgentContext& ctx) {
+  bool progress = drained() > 0;
 
   // 1. Release cores whose VM has fully drained (blocked or exited).
   for (auto& [cookie, vm] : vms_) {

@@ -15,13 +15,11 @@
 #include <map>
 #include <vector>
 
-#include "src/agent/agent_context.h"
-#include "src/agent/policy.h"
-#include "src/agent/task_table.h"
+#include "src/agent/sdk/global_agent.h"
 
 namespace gs {
 
-class VmCoreSchedPolicy : public Policy {
+class VmCoreSchedPolicy : public GlobalAgentPolicy {
  public:
   struct Options {
     int global_cpu = -1;
@@ -35,10 +33,15 @@ class VmCoreSchedPolicy : public Policy {
 
   const char* name() const override { return "vm-core-sched"; }
   void Attached(AgentProcess* process, Enclave* enclave, Kernel* kernel) override;
-  AgentAction RunAgent(AgentContext& ctx) override;
 
   uint64_t cores_scheduled() const { return cores_scheduled_; }
   uint64_t group_failures() const { return group_failures_; }
+
+ protected:
+  AgentAction Schedule(AgentContext& ctx) override;
+  void TaskNew(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
+  void TaskDead(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
+  void TaskDeparted(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
 
  private:
   struct Vm {
@@ -55,7 +58,6 @@ class VmCoreSchedPolicy : public Policy {
     int64_t cookie = 0;
   };
 
-  void HandleMessage(const Message& msg);
   Vm* VmOf(int64_t tid);
   int RunnableThreads(const Vm& vm) const;
   bool CoreFullyAvailable(AgentContext& ctx, const Core& core) const;
@@ -64,14 +66,9 @@ class VmCoreSchedPolicy : public Policy {
   void ReleaseCore(Vm* vm);
 
   Options options_;
-  Enclave* enclave_ = nullptr;
-  Kernel* kernel_ = nullptr;
-  int global_cpu_ = -1;
 
-  TaskTable table_;
   std::map<int64_t, Vm> vms_;
   std::vector<Core> cores_;
-  std::vector<Message> scratch_msgs_;
 
   uint64_t cores_scheduled_ = 0;
   uint64_t group_failures_ = 0;

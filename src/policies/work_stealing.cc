@@ -1,155 +1,17 @@
 #include "src/policies/work_stealing.h"
 
+#include <vector>
+
 namespace gs {
 
-void WorkStealingPolicy::Attached(AgentProcess* process, Enclave* enclave, Kernel* kernel) {
-  enclave_ = enclave;
-  process_ = process;
-  const CpuMask& cpus = enclave->cpus();
-  boss_cpu_ = cpus.First();
-  for (int cpu = cpus.First(); cpu >= 0; cpu = cpus.NextAfter(cpu)) {
-    CpuSched& cs = cpus_[cpu];
-    cs.queue = enclave->CreateQueue();
-    enclave->ConfigQueueWakeup(cs.queue, process->agent_on(cpu));
-    enclave->SetCpuQueue(cpu, cs.queue);
-    cpu_list_.push_back(cpu);
-  }
-  enclave->ConfigQueueWakeup(enclave->default_queue(), process->agent_on(boss_cpu_));
-}
-
-void WorkStealingPolicy::Restore(const std::vector<Enclave::TaskInfo>& dump) {
-  // Full view replacement (also the overflow-resync path).
-  for (auto& [cpu, sched] : cpus_) {
-    sched.runqueue.Clear();
-  }
-  home_cpu_.clear();
-  table_.Clear();
-  for (const Enclave::TaskInfo& info : dump) {
-    PolicyTask* task = table_.Add(info.tid);
-    task->tseq = info.tseq;
-    task->affinity = info.affinity;
-    task->runnable = info.runnable;
-    const int home = NextHomeCpu();
-    home_cpu_[info.tid] = home;
-    enclave_->AssociateQueue(info.tid, cpus_[home].queue);
-    if (info.runnable && !info.on_cpu) {
-      task->queued = true;
-      cpus_[home].runqueue.Push(task);
-    }
-  }
-}
-
-size_t WorkStealingPolicy::QueueDepth(int cpu) const {
-  auto it = cpus_.find(cpu);
-  return it == cpus_.end() ? 0 : it->second.runqueue.size();
-}
-
-int WorkStealingPolicy::NextHomeCpu() {
-  const int cpu = cpu_list_[rr_next_ % cpu_list_.size()];
-  ++rr_next_;
-  return cpu;
-}
-
-void WorkStealingPolicy::NotifyAgent(AgentContext& ctx, int cpu) {
-  if (cpu == ctx.agent_cpu()) {
-    return;
-  }
-  Task* agent = process_->agent_on(cpu);
-  if (agent == nullptr) {
-    return;
-  }
-  if (agent->state() == TaskState::kBlocked) {
-    ctx.Charge(ctx.kernel()->cost().syscall + ctx.kernel()->cost().agent_wakeup);
-    ctx.kernel()->Wake(agent);
-  } else {
-    // The sibling is mid-iteration (or queued to run): flag the push so its
-    // check-then-sleep re-runs instead of blocking over a non-empty runqueue.
-    enclave_->PokeAgent(agent);
-  }
-}
-
-void WorkStealingPolicy::HandleMessage(AgentContext& ctx, int cpu, const Message& msg) {
-  if (msg.type == MessageType::kTimerTick) {
-    return;
-  }
-  PolicyTask* task = nullptr;
-  switch (table_.Apply(msg, &task)) {
-    case TaskTable::Event::kNew: {
-      const int home = NextHomeCpu();
-      home_cpu_[msg.tid] = home;
-      ctx.Charge(ctx.kernel()->cost().syscall);
-      enclave_->AssociateQueue(msg.tid, cpus_[home].queue);
-      if (task->runnable && !task->queued) {
-        task->queued = true;
-        cpus_[home].runqueue.Push(task);
-        NotifyAgent(ctx, home);
-      }
-      break;
-    }
-    case TaskTable::Event::kRunnable: {
-      const int home = home_cpu_.count(msg.tid) > 0 ? home_cpu_[msg.tid] : cpu;
-      if (!task->queued) {
-        task->queued = true;
-        if (msg.type == MessageType::kTaskPreempted) {
-          cpus_[home].runqueue.PushFront(task);
-        } else {
-          cpus_[home].runqueue.Push(task);
-        }
-        NotifyAgent(ctx, home);
-      }
-      break;
-    }
-    case TaskTable::Event::kBlocked:
-      if (task->queued) {
-        cpus_[home_cpu_.count(msg.tid) > 0 ? home_cpu_[msg.tid] : cpu].runqueue.Remove(task);
-        task->queued = false;
-      }
-      break;
-    case TaskTable::Event::kDead:
-      if (task->queued) {
-        cpus_[home_cpu_.count(msg.tid) > 0 ? home_cpu_[msg.tid] : cpu].runqueue.Remove(task);
-      }
-      home_cpu_.erase(msg.tid);
-      table_.Remove(msg.tid);
-      break;
-    case TaskTable::Event::kAffinity: {
-      // sched_setaffinity may have excluded the task's home CPU: re-home it
-      // to an allowed enclave CPU (and move any queued entry along).
-      const int home = home_cpu_.count(msg.tid) > 0 ? home_cpu_[msg.tid] : cpu;
-      if (!task->affinity.IsSet(home)) {
-        int new_home = -1;
-        for (int candidate : cpu_list_) {
-          if (task->affinity.IsSet(candidate)) {
-            new_home = candidate;
-            break;
-          }
-        }
-        if (new_home >= 0) {
-          if (task->queued) {
-            cpus_[home].runqueue.Remove(task);
-            cpus_[new_home].runqueue.Push(task);
-          }
-          home_cpu_[msg.tid] = new_home;
-          ctx.Charge(ctx.kernel()->cost().syscall);
-          enclave_->AssociateQueue(msg.tid, cpus_[new_home].queue);
-          NotifyAgent(ctx, new_home);
-        }
-      }
-      break;
-    }
-    case TaskTable::Event::kNone:
-      break;
-  }
-}
-
-PolicyTask* WorkStealingPolicy::TrySteal(AgentContext& ctx, int thief_cpu) {
+PolicyTask* WorkStealingPolicy::Steal(AgentContext& ctx, int thief_cpu) {
   // Pick the deepest victim runqueue (agents share the process, so reading
   // sibling queues is a plain memory access).
   int victim_cpu = -1;
   size_t deepest = 0;
-  for (auto& [cpu, cs] : cpus_) {
-    if (cpu != thief_cpu && cs.runqueue.size() > deepest) {
-      deepest = cs.runqueue.size();
+  for (int cpu = 0; cpu < static_cast<int>(cpus_.size()); ++cpu) {
+    if (cpu != thief_cpu && cpus_[cpu].runqueue.size() > deepest) {
+      deepest = cpus_[cpu].runqueue.size();
       victim_cpu = cpu;
     }
   }
@@ -174,7 +36,7 @@ PolicyTask* WorkStealingPolicy::TrySteal(AgentContext& ctx, int thief_cpu) {
       std::vector<Message> drained;
       ctx.Drain(victim.queue, &drained);
       for (const Message& msg : drained) {
-        HandleMessage(ctx, victim_cpu, msg);
+        Dispatch(ctx, msg);
       }
       ctx.Charge(ctx.kernel()->cost().syscall);
       if (!enclave_->AssociateQueue(candidate->tid, cpus_[thief_cpu].queue)) {
@@ -186,64 +48,11 @@ PolicyTask* WorkStealingPolicy::TrySteal(AgentContext& ctx, int thief_cpu) {
       }
     }
     victim.runqueue.Remove(candidate);
-    home_cpu_[candidate->tid] = thief_cpu;
+    home_cpu_.Insert(candidate->tid, thief_cpu);
     ++steals_;
     return candidate;  // caller runs it (still marked queued until dispatch)
   }
   return nullptr;
-}
-
-AgentAction WorkStealingPolicy::RunAgent(AgentContext& ctx) {
-  const int cpu = ctx.agent_cpu();
-  CpuSched& cs = cpus_[cpu];
-  const uint32_t aseq = ctx.ReadAseq();
-
-  scratch_msgs_.clear();
-  if (cpu == boss_cpu_) {
-    ctx.Drain(enclave_->default_queue(), &scratch_msgs_);
-  }
-  ctx.Drain(cs.queue, &scratch_msgs_);
-  for (const Message& msg : scratch_msgs_) {
-    HandleMessage(ctx, cpu, msg);
-  }
-
-  PolicyTask* next = cs.runqueue.Pop();
-  if (next == nullptr) {
-    next = TrySteal(ctx, cpu);
-  }
-  if (next == nullptr) {
-    return AgentAction::kBlock;
-  }
-  next->queued = false;
-
-  Transaction txn = AgentContext::MakeTxn(next->tid, cpu);
-  txn.expected_aseq = aseq;
-  Transaction* ptr = &txn;
-  ctx.Commit(ptr);
-  if (txn.committed()) {
-    next->assigned_cpu = cpu;
-    next->last_cpu = cpu;
-    ++scheduled_;
-    return AgentAction::kYield;
-  }
-  if (next->runnable) {
-    next->queued = true;
-    if (!next->affinity.IsSet(cpu)) {
-      int new_home = cpu;
-      for (int candidate : cpu_list_) {
-        if (next->affinity.IsSet(candidate)) {
-          new_home = candidate;
-          break;
-        }
-      }
-      home_cpu_[next->tid] = new_home;
-      cpus_[new_home].runqueue.Push(next);
-      NotifyAgent(ctx, new_home);
-    } else {
-      cs.runqueue.Push(next);
-    }
-  }
-  return AgentAction::kRunAgain;
 }
 
 }  // namespace gs

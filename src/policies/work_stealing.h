@@ -9,7 +9,7 @@
 // fail. In that case, the agent must drain the original queue before
 // re-issuing ASSOCIATE_QUEUE()."
 //
-// This policy extends the per-CPU FIFO model with exactly that protocol: an
+// This policy is the per-CPU FIFO policy plus exactly that protocol: an
 // agent whose runqueue is empty steals the longest-waiting thread from the
 // most loaded sibling runqueue (all agents share the process address space,
 // so runqueues are visible), re-associates the thread's queue — retrying
@@ -17,61 +17,25 @@
 #ifndef GHOST_SIM_SRC_POLICIES_WORK_STEALING_H_
 #define GHOST_SIM_SRC_POLICIES_WORK_STEALING_H_
 
-#include <map>
-#include <vector>
+#include <cstdint>
 
-#include "src/agent/agent_context.h"
-#include "src/agent/agent_process.h"
-#include "src/agent/policy.h"
-#include "src/agent/sdk/runqueue.h"
-#include "src/agent/task_table.h"
+#include "src/policies/per_cpu_fifo.h"
 
 namespace gs {
 
-class WorkStealingPolicy : public Policy {
+class WorkStealingPolicy : public PerCpuFifoPolicy {
  public:
   const char* name() const override { return "work-stealing"; }
-  void Attached(AgentProcess* process, Enclave* enclave, Kernel* kernel) override;
-  void Restore(const std::vector<Enclave::TaskInfo>& dump) override;
-  AgentAction RunAgent(AgentContext& ctx) override;
 
-  uint64_t scheduled() const { return scheduled_; }
   uint64_t steals() const { return steals_; }
   uint64_t association_retries() const { return association_retries_; }
-  size_t QueueDepth(int cpu) const;
-  int RunqueueDepth() const override {
-    int total = 0;
-    for (const auto& [cpu, sched] : cpus_) {
-      total += static_cast<int>(sched.runqueue.size());
-    }
-    return total;
-  }
+
+ protected:
+  // Steals the longest-waiting thread from the deepest sibling runqueue into
+  // `thief_cpu`, re-associating its message queue per §3.1.
+  PolicyTask* Steal(AgentContext& ctx, int thief_cpu) override;
 
  private:
-  struct CpuSched {
-    MessageQueue* queue = nullptr;
-    FifoRunqueue runqueue;
-  };
-
-  void HandleMessage(AgentContext& ctx, int cpu, const Message& msg);
-  void NotifyAgent(AgentContext& ctx, int cpu);
-  int NextHomeCpu();
-  // Steals the longest-waiting thread from the deepest sibling runqueue into
-  // `thief_cpu`'s, re-associating its message queue per §3.1. Returns the
-  // stolen task or nullptr.
-  PolicyTask* TrySteal(AgentContext& ctx, int thief_cpu);
-
-  Enclave* enclave_ = nullptr;
-  AgentProcess* process_ = nullptr;
-  TaskTable table_;
-  std::map<int, CpuSched> cpus_;
-  std::map<int64_t, int> home_cpu_;
-  std::vector<int> cpu_list_;
-  size_t rr_next_ = 0;
-  int boss_cpu_ = -1;
-  std::vector<Message> scratch_msgs_;
-
-  uint64_t scheduled_ = 0;
   uint64_t steals_ = 0;
   uint64_t association_retries_ = 0;
 };

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "src/agent/agent_process.h"
-#include "src/agent/dispatch_policy.h"
+#include "src/agent/policy.h"
 #include "src/agent/sdk/runqueue.h"
 #include "src/base/rng.h"
 #include "src/ghost/machine.h"
@@ -25,9 +25,9 @@ std::string FirstLine(const std::string& text) {
 // The generated adversary. Centralized (only the boss agent schedules, the
 // rest just exist — itself a legal-but-unhelpful shape) and every decision
 // runs through the seeded knobs. Deliberately does NOT override Restore():
-// the DispatchPolicy reconciliation default must keep even this policy's
+// the Policy base's reconciliation default must keep even this policy's
 // post-swap view sound.
-class HostilePolicy : public DispatchPolicy {
+class HostilePolicy : public Policy {
  public:
   explicit HostilePolicy(const HostileConfig& config)
       : config_(config), rng_(config.seed ^ 0x4057113e5ULL) {}

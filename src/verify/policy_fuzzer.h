@@ -4,7 +4,7 @@
 // policy can starve its own threads but can never corrupt the mechanism layer
 // or strand a thread past the watchdog. The explorer scenarios each pin one
 // historical race; this module attacks the claim *generatively*: a seeded
-// generator composes legal-but-hostile DispatchPolicy behaviors — drop
+// generator composes legal-but-hostile Policy behaviors — drop
 // wakeups or new-thread announcements, commit to stale/remote CPUs without
 // sequence protection, spray spurious idle transactions, commit conflicting
 // sync-groups, spin after committing instead of yielding, sleep on a

@@ -8,7 +8,7 @@
 
 #include "gtest/gtest.h"
 #include "src/agent/agent_process.h"
-#include "src/agent/dispatch_policy.h"
+#include "src/agent/policy.h"
 #include "src/ghost/machine.h"
 #include "src/policies/ab_test_policy.h"
 #include "src/policies/per_cpu_fifo.h"
@@ -23,7 +23,7 @@ namespace {
 // places a thread anywhere. Stand-in for the fuzzer's generated policies in
 // the upgrade-contract test: every thread announced while it reigns is a
 // thread the outgoing policy never scheduled.
-class DeafPolicy : public DispatchPolicy {
+class DeafPolicy : public Policy {
  public:
   const char* name() const override { return "deaf"; }
   void Attached(AgentProcess* process, Enclave* enclave, Kernel* kernel) override {

@@ -150,5 +150,40 @@ TEST(VmPolicyTest, SoloVcpuForcesSiblingIdle) {
   EXPECT_TRUE(m.kernel().CpuIdle(sibling));
 }
 
+TEST(VmPolicyTest, InPlaceUpgradeKeepsSchedulingEveryVcpu) {
+  // §3.4 in-place upgrade: the replacement agent inherits vCPUs it never saw
+  // announced. Regression: VmCoreSchedPolicy had an empty Restore(), so the
+  // new agent knew no thread and every vCPU stranded; the Policy base's
+  // reconciling Restore() re-announces them through TaskNew.
+  Machine m(Topology::Make("t", 1, 4, 2, 4));
+  auto enclave = m.CreateEnclave(m.kernel().topology().AllCpus());
+  VmWorkload vms(&m.kernel(),
+                 {.num_vms = 2, .vcpus_per_vm = 2, .work_per_vcpu = Milliseconds(20)});
+  VmCoreSchedPolicy::Options options;
+  options.global_cpu = 0;
+  VmWorkload* ptr = &vms;
+  options.cookie_of = [ptr](int64_t tid) { return ptr->CookieOf(tid); };
+  auto old_process = std::make_unique<AgentProcess>(
+      &m.kernel(), m.ghost_class(), enclave.get(),
+      std::make_unique<VmCoreSchedPolicy>(options));
+  old_process->Start();
+  for (Task* vcpu : vms.vcpus()) {
+    enclave->AddTask(vcpu);
+  }
+  vms.StartSecuritySampler(Microseconds(200));
+  vms.Start();
+  m.RunFor(Milliseconds(3));
+  ASSERT_FALSE(vms.AllDone());
+
+  old_process->Shutdown();
+  AgentProcess replacement(&m.kernel(), m.ghost_class(), enclave.get(),
+                           std::make_unique<VmCoreSchedPolicy>(options));
+  replacement.Start();
+  m.RunFor(Milliseconds(200));
+  EXPECT_EQ(vms.completed(), 4) << "every vCPU must finish under the new agent";
+  EXPECT_EQ(vms.coresidency_violations(), 0u);
+  EXPECT_FALSE(enclave->destroyed());
+}
+
 }  // namespace
 }  // namespace gs

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/agent/agent_process.h"
+#include "src/agent/sdk/global_agent.h"
 #include "src/ghost/machine.h"
 #include "src/policies/centralized_fifo.h"
 #include "tests/test_util.h"
@@ -81,24 +82,22 @@ TEST(HintsTest, RoundTripThroughSharedMemory) {
 
 TEST(HintsTest, PolicyCanReadHints) {
   // A tiny policy that orders dispatch by hint value (lower = first).
-  class HintPolicy : public Policy {
+  class HintPolicy : public GlobalAgentPolicy {
    public:
+    HintPolicy() : GlobalAgentPolicy(/*global_cpu=*/-1, /*hot_handoff=*/false) {}
     const char* name() const override { return "hint"; }
-    void Attached(AgentProcess*, Enclave* enclave, Kernel*) override {
-      enclave_ = enclave;
+    std::vector<int64_t> order;
+
+   protected:
+    void TaskNew(AgentContext& ctx, PolicyTask* task, const Message& msg) override {
+      if (task->runnable) {
+        waiting_.push_back(task->tid);
+      }
     }
-    AgentAction RunAgent(AgentContext& ctx) override {
-      if (ctx.agent_cpu() != enclave_->cpus().First()) {
-        return AgentAction::kBlock;
-      }
-      std::vector<Message> msgs;
-      ctx.Drain(enclave_->default_queue(), &msgs);
-      for (const Message& msg : msgs) {
-        if (msg.type == MessageType::kTaskWakeup ||
-            (msg.type == MessageType::kTaskNew && msg.runnable)) {
-          waiting_.push_back(msg.tid);
-        }
-      }
+    void TaskWakeup(AgentContext& ctx, PolicyTask* task, const Message& msg) override {
+      waiting_.push_back(task->tid);
+    }
+    AgentAction Schedule(AgentContext& ctx) override {
       std::sort(waiting_.begin(), waiting_.end(), [&](int64_t a, int64_t b) {
         return ctx.ReadHint(a) < ctx.ReadHint(b);
       });
@@ -116,10 +115,8 @@ TEST(HintsTest, PolicyCanReadHints) {
       }
       return progress ? AgentAction::kRunAgain : AgentAction::kPollWait;
     }
-    std::vector<int64_t> order;
 
    private:
-    Enclave* enclave_ = nullptr;
     std::vector<int64_t> waiting_;
   };
 

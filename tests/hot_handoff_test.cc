@@ -1,15 +1,31 @@
 // Tests for the §3.3 hot handoff: "Whenever a non-ghOSt thread needs to run
 // on the global agent's CPU, the global agent performs a 'hot handoff' to an
-// inactive agent on another CPU."
+// inactive agent on another CPU." Run against both global-agent policies
+// that hand off.
 #include <gtest/gtest.h>
 
 #include "src/agent/agent_process.h"
 #include "src/ghost/machine.h"
 #include "src/policies/centralized_fifo.h"
+#include "src/policies/predictive_shinjuku.h"
 #include "tests/test_util.h"
 
 namespace gs {
 namespace {
+
+// A hot-handoff policy whose global agent starts on CPU 0.
+std::unique_ptr<GlobalAgentPolicy> MakeHandoffPolicy(const std::string& kind) {
+  if (kind == "predictive_shinjuku") {
+    PredictiveShinjukuPolicy::Options options;
+    options.global_cpu = 0;
+    return std::make_unique<PredictiveShinjukuPolicy>(options);
+  }
+  CentralizedFifoPolicy::Options options;
+  options.global_cpu = 0;
+  return std::make_unique<CentralizedFifoPolicy>(options);
+}
+
+class HotHandoffTest : public ::testing::TestWithParam<std::string> {};
 
 Task* GhostWorker(Machine& m, Enclave& enclave, const std::string& name, Duration burst,
                   int repeats) {
@@ -35,13 +51,11 @@ Task* GhostWorker(Machine& m, Enclave& enclave, const std::string& name, Duratio
   return t;
 }
 
-TEST(HotHandoffTest, PinnedCfsThreadEvictsGlobalAgent) {
+TEST_P(HotHandoffTest, PinnedCfsThreadEvictsGlobalAgent) {
   Machine m(Topology::Make("t", 1, 4, 1, 4));
   auto enclave = m.CreateEnclave(CpuMask::AllUpTo(4));
-  CentralizedFifoPolicy::Options options;
-  options.global_cpu = 0;
-  auto policy = std::make_unique<CentralizedFifoPolicy>(options);
-  CentralizedFifoPolicy* policy_ptr = policy.get();
+  auto policy = MakeHandoffPolicy(GetParam());
+  GlobalAgentPolicy* policy_ptr = policy.get();
   AgentProcess process(&m.kernel(), m.ghost_class(), enclave.get(), std::move(policy));
   process.Start();
 
@@ -74,15 +88,13 @@ TEST(HotHandoffTest, PinnedCfsThreadEvictsGlobalAgent) {
   EXPECT_EQ(worker->total_runtime(), Microseconds(100) * 300);
 }
 
-TEST(HotHandoffTest, NoIdleCpuMeansNoHandoff) {
+TEST_P(HotHandoffTest, NoIdleCpuMeansNoHandoff) {
   // Single-CPU enclave: nowhere to hand off to; the agent keeps scheduling
   // and the pinned CFS thread waits, as on a fully busy machine.
   Machine m(Topology::Make("t", 1, 2, 1, 2));
   auto enclave = m.CreateEnclave(CpuMask::Single(0));
-  CentralizedFifoPolicy::Options options;
-  options.global_cpu = 0;
-  auto policy = std::make_unique<CentralizedFifoPolicy>(options);
-  CentralizedFifoPolicy* policy_ptr = policy.get();
+  auto policy = MakeHandoffPolicy(GetParam());
+  GlobalAgentPolicy* policy_ptr = policy.get();
   AgentProcess process(&m.kernel(), m.ghost_class(), enclave.get(), std::move(policy));
   process.Start();
   Task* daemon = m.kernel().CreateTask("kworker");
@@ -93,6 +105,10 @@ TEST(HotHandoffTest, NoIdleCpuMeansNoHandoff) {
   EXPECT_EQ(policy_ptr->hot_handoffs(), 0u);
   EXPECT_EQ(policy_ptr->global_cpu(), 0);
 }
+
+INSTANTIATE_TEST_SUITE_P(Policies, HotHandoffTest,
+                         ::testing::Values("centralized_fifo", "predictive_shinjuku"),
+                         [](const auto& info) { return info.param; });
 
 TEST(HotHandoffTest, AgentUpgradeResetsWatchdogClock) {
   // Regression for the watchdog-vs-upgrade race: a thread's runnable wait is

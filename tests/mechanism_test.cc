@@ -21,7 +21,11 @@ class CostLedgerPolicy : public Policy {
     enclave_ = enclave;
     kernel_ = kernel;
   }
-  AgentAction RunAgent(AgentContext& ctx) override {
+  bool checked_ = false;
+
+ protected:
+  void CollectQueues(AgentContext& ctx, std::vector<MessageQueue*>* queues) override {}
+  AgentAction Schedule(AgentContext& ctx) override {
     if (!checked_) {
       checked_ = true;
       const CostModel& cost = kernel_->cost();
@@ -47,7 +51,6 @@ class CostLedgerPolicy : public Policy {
     }
     return AgentAction::kBlock;
   }
-  bool checked_ = false;
 
  private:
   Enclave* enclave_ = nullptr;
