@@ -5,11 +5,10 @@
 #include <cstdio>
 
 #include "src/base/json.h"
-#include "src/base/logging.h"
 
 namespace gs {
 
-Histogram::Histogram() : buckets_(NumBuckets(), 0) { Reset(); }
+Histogram::Histogram() { Reset(); }
 
 void Histogram::Reset() {
   std::fill(buckets_.begin(), buckets_.end(), 0);
@@ -52,6 +51,9 @@ int64_t Histogram::BucketValue(int index) {
 }
 
 void Histogram::Add(int64_t value) {
+  if (buckets_.empty()) {
+    buckets_.assign(NumBuckets(), 0);
+  }
   buckets_[BucketIndex(value)]++;
   count_++;
   sum_ += value;
@@ -60,7 +62,14 @@ void Histogram::Add(int64_t value) {
 }
 
 void Histogram::Merge(const Histogram& other) {
-  CHECK_EQ(buckets_.size(), other.buckets_.size());
+  // An empty histogram adds nothing: its min/max sentinels are the identity
+  // of std::min/std::max.
+  if (other.count_ == 0) {
+    return;
+  }
+  if (buckets_.empty()) {
+    buckets_.assign(NumBuckets(), 0);
+  }
   for (size_t i = 0; i < buckets_.size(); ++i) {
     buckets_[i] += other.buckets_[i];
   }

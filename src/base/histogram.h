@@ -56,6 +56,9 @@ class Histogram {
   static int BucketIndex(int64_t value);
   static int64_t BucketValue(int index);
 
+  // NumBuckets() counters, allocated by the first Add() or non-empty
+  // Merge(), so a registered histogram that is never observed costs no
+  // bucket storage. Reset() zeroes them and keeps the storage.
   std::vector<int64_t> buckets_;
   int64_t count_;
   int64_t sum_;

@@ -10,6 +10,7 @@
 #define GHOST_SIM_SRC_BASE_RING_DEQUE_H_
 
 #include <cstddef>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -37,14 +38,14 @@ class RingDeque {
 
   void pop_front() {
     DCHECK(size_ > 0);
-    slots_[head_] = T{};
+    Release(slots_[head_]);
     head_ = (head_ + 1) & mask_;
     --size_;
   }
 
   void pop_back() {
     DCHECK(size_ > 0);
-    slots_[(head_ + size_ - 1) & mask_] = T{};
+    Release(slots_[(head_ + size_ - 1) & mask_]);
     --size_;
   }
 
@@ -105,7 +106,7 @@ class RingDeque {
 
   void clear() {
     for (size_t i = 0; i < size_; ++i) {
-      slots_[(head_ + i) & mask_] = T{};
+      Release(slots_[(head_ + i) & mask_]);
     }
     head_ = 0;
     size_ = 0;
@@ -152,6 +153,16 @@ class RingDeque {
   }
 
  private:
+  // Lets go of whatever a vacated slot owns, so it does not outlive its
+  // removal. A trivially copyable T owns nothing, so its slot is left as is:
+  // rewriting it would cost a store per pop (a 104-byte Message, say) for no
+  // observable effect.
+  static void Release(T& slot) {
+    if constexpr (!std::is_trivially_copyable_v<T>) {
+      slot = T{};
+    }
+  }
+
   void GrowIfFull() {
     if (size_ < slots_.size()) {
       return;

@@ -6,7 +6,8 @@
 // head/tail indices and acquire/release synchronization only — no CAS on the
 // hot path. Producer and consumer indices live on separate cache lines to
 // avoid false sharing, which is what the host nanobenchmarks (Table 3
-// companion) measure.
+// companion) measure. The simulator's own queues (MessageQueue) run on one
+// thread and do not use it.
 #ifndef GHOST_SIM_SRC_BASE_SPSC_RING_H_
 #define GHOST_SIM_SRC_BASE_SPSC_RING_H_
 

@@ -1,6 +1,7 @@
 #include "src/fleet/network.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "src/base/logging.h"
@@ -20,6 +21,7 @@ NetworkModel::NetworkModel(std::vector<EventLoop*> loops, Options options)
   outbox_.resize(n);
   parked_.resize(n);
   seq_.assign(n, 0);
+  parked_total_.assign(n, 0);
   linked_.assign(n, 1);
   min_latency_ = options.default_latency;
 }
@@ -51,7 +53,7 @@ void NetworkModel::Enqueue(int src, int dst, int64_t bytes, Time send_time,
 void NetworkModel::Send(int src, int dst, int64_t bytes, std::function<void()> deliver) {
   CHECK_NE(src, dst);
   if (!linked_[src] || !linked_[dst]) {
-    ++total_parked_;
+    ++parked_total_[src];
     parked_[src].push_back(Parked{dst, bytes, seq_[src]++, std::move(deliver)});
     return;
   }
@@ -101,6 +103,10 @@ void NetworkModel::SetNodeLinked(int node, bool linked, Time now) {
     }
     parked_[src] = std::move(keep);
   }
+}
+
+int64_t NetworkModel::parked() const {
+  return std::accumulate(parked_total_.begin(), parked_total_.end(), int64_t{0});
 }
 
 int64_t NetworkModel::parked_now() const {

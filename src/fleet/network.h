@@ -65,7 +65,7 @@ class NetworkModel {
   int64_t delivered() const { return delivered_; }
   // Cumulative count of messages that hit a down link and were parked
   // (whether or not they were later retransmitted).
-  int64_t parked() const { return total_parked_; }
+  int64_t parked() const;
   // Messages parked right now, awaiting a heal.
   int64_t parked_now() const;
 
@@ -99,13 +99,14 @@ class NetworkModel {
   std::vector<Link> links_;
   std::vector<Time> busy_;
   Duration min_latency_;
-  // One outbox and seq counter per source node: epochs touch disjoint state.
+  // One outbox, parked list, seq counter and parked count per source node:
+  // epochs touch disjoint state.
   std::vector<std::vector<Pending>> outbox_;
   std::vector<std::vector<Parked>> parked_;
   std::vector<uint64_t> seq_;
+  std::vector<int64_t> parked_total_;
   std::vector<char> linked_;
   int64_t delivered_ = 0;
-  int64_t total_parked_ = 0;
 };
 
 }  // namespace fleet

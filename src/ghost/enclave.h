@@ -46,7 +46,7 @@ class Enclave {
     // watchdog destroys the enclave (0 disables the watchdog).
     Duration watchdog_timeout = 0;
     Duration watchdog_period = Milliseconds(10);
-    size_t default_queue_capacity = 8192;
+    size_t default_queue_capacity = kDefaultQueueCapacity;
   };
 
   Enclave(Kernel* kernel, GhostClass* ghost_class, AgentClass* agent_class, CpuMask cpus,
@@ -98,7 +98,7 @@ class Enclave {
   std::vector<TaskInfo> TaskDump() const;
 
   // ---- Queues (CREATE/DESTROY/ASSOCIATE_QUEUE, CONFIG_QUEUE_WAKEUP) ----------
-  MessageQueue* CreateQueue(size_t capacity = 8192);
+  MessageQueue* CreateQueue(size_t capacity = kDefaultQueueCapacity);
   void DestroyQueue(MessageQueue* queue);
   MessageQueue* default_queue() { return default_queue_; }
   // Fails (returns false) if messages for the thread are pending in its

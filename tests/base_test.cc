@@ -1,5 +1,8 @@
-// Unit tests for src/base: histogram, RNG, cpumask, rings.
+// Unit tests for src/base: histogram, RNG, cpumask, ring deque, rings.
 #include <algorithm>
+#include <initializer_list>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -8,6 +11,7 @@
 #include "src/base/cpumask.h"
 #include "src/base/histogram.h"
 #include "src/base/mpmc_ring.h"
+#include "src/base/ring_deque.h"
 #include "src/base/rng.h"
 #include "src/base/spsc_ring.h"
 #include "src/base/time.h"
@@ -83,6 +87,53 @@ TEST(HistogramTest, MergeMatchesCombined) {
   EXPECT_EQ(a.count(), combined.count());
   EXPECT_EQ(a.Percentile(99), combined.Percentile(99));
   EXPECT_EQ(a.max(), combined.max());
+}
+
+// What a histogram that never saw a sample reports.
+constexpr char kNeverObservedJson[] =
+    R"({"count":0,"min":0,"max":0,"mean":0,"p50":0,"p90":0,"p99":0,)"
+    R"("p99.9":0,"p99.99":0})";
+
+Histogram HistogramOf(std::initializer_list<int64_t> values) {
+  Histogram h;
+  for (int64_t v : values) {
+    h.Add(v);
+  }
+  return h;
+}
+
+TEST(HistogramTest, NeverObservedReportsZeros) {
+  const Histogram h;
+  for (double p : {0.0, 50.0, 99.99, 100.0}) {
+    EXPECT_EQ(h.Percentile(p), 0) << "p" << p;
+  }
+  EXPECT_EQ(h.Mean(), 0.0);
+  EXPECT_EQ(h.ToJson(), kNeverObservedJson);
+}
+
+TEST(HistogramTest, MergeWithEitherSideEmpty) {
+  const std::string small = HistogramOf({3, 70, 70}).ToJson();
+  const std::string all = HistogramOf({3, 70, 70, 4'000, 1'000'000}).ToJson();
+
+  Histogram empty_into_empty;
+  empty_into_empty.Merge(Histogram());
+  EXPECT_EQ(empty_into_empty.ToJson(), kNeverObservedJson);
+
+  Histogram into_empty;
+  into_empty.Merge(HistogramOf({3, 70, 70}));
+  EXPECT_EQ(into_empty.ToJson(), small);
+
+  Histogram empty_into_filled = HistogramOf({3, 70, 70});
+  empty_into_filled.Merge(Histogram());
+  EXPECT_EQ(empty_into_filled.ToJson(), small);
+
+  Histogram both = HistogramOf({3, 70, 70});
+  both.Merge(HistogramOf({4'000, 1'000'000}));
+  EXPECT_EQ(both.ToJson(), all);
+  // Still a working histogram after every kind of merge.
+  into_empty.Add(4'000);
+  into_empty.Add(1'000'000);
+  EXPECT_EQ(into_empty.ToJson(), all);
 }
 
 TEST(RngTest, Deterministic) {
@@ -178,6 +229,21 @@ TEST(CpuMaskTest, Operators) {
   EXPECT_TRUE(a.Intersects(b));
   EXPECT_FALSE(CpuMask::Single(1).Intersects(CpuMask::Single(2)));
   EXPECT_EQ(CpuMask::AllUpTo(4).ToString(), "{0,1,2,3}");
+}
+
+TEST(RingDequeTest, RemovalReleasesWhatASlotOwns) {
+  auto value = std::make_shared<int>(7);
+  RingDeque<std::shared_ptr<int>> dq;
+  dq.push_back(value);
+  dq.push_back(value);
+  dq.push_back(value);
+  ASSERT_EQ(value.use_count(), 4);
+  dq.pop_front();
+  EXPECT_EQ(value.use_count(), 3);
+  dq.pop_back();
+  EXPECT_EQ(value.use_count(), 2);
+  dq.clear();
+  EXPECT_EQ(value.use_count(), 1);
 }
 
 TEST(SpscRingTest, FifoOrder) {

@@ -1,8 +1,12 @@
 // Tests for the ghOSt core: messages, sequence numbers, transactions,
 // watchdog fallback, queue association, forced idle, fast path.
+#include <deque>
+#include <optional>
+
 #include <gtest/gtest.h>
 
 #include "src/ghost/machine.h"
+#include "src/ghost/message_queue.h"
 #include "tests/test_util.h"
 
 namespace gs {
@@ -352,6 +356,74 @@ TEST_F(GhostTest, TimerTickMessagesWhileGhostThreadRuns) {
   EXPECT_GE(ticks, 3) << "1 ms ticks while a ghOSt thread runs";
   EXPECT_LE(ticks, 6);
 }
+
+// ---- MessageQueue storage ----------------------------------------------------
+
+// The parameter is the queue's logical capacity: the tiny queues of the
+// overflow and seqnum tests, and the default.
+class MessageQueueStorageTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(MessageQueueStorageTest, KeepsFifoAcrossWrappedGrowthAndDropsAtCapacity) {
+  const size_t capacity = GetParam();
+  MessageQueue queue(/*id=*/0, capacity);
+  std::deque<int64_t> expected;
+  int64_t next_tid = 1;
+  auto push = [&] {
+    Message msg;
+    msg.tid = next_tid++;
+    const bool fits = expected.size() < capacity;
+    EXPECT_EQ(queue.Push(msg), fits) << "depth " << expected.size();
+    if (fits) {
+      expected.push_back(msg.tid);
+    }
+  };
+  auto pop = [&] {
+    const std::optional<Message> msg = queue.Pop();
+    ASSERT_EQ(msg.has_value(), !expected.empty());
+    if (msg.has_value()) {
+      EXPECT_EQ(msg->tid, expected.front());
+      expected.pop_front();
+    }
+  };
+
+  // Start the live window a few slots into the storage; then every round
+  // pushes two and pops one, so the window creeps forward as it grows and
+  // each time the storage grows, the window it copies wraps past its end.
+  for (int i = 0; i < 3; ++i) {
+    push();
+    pop();
+  }
+  for (;;) {
+    push();
+    push();
+    ASSERT_EQ(queue.size(), expected.size());
+    if (expected.size() == capacity) {
+      break;
+    }
+    pop();
+  }
+  push();  // one past the capacity: dropped
+  EXPECT_EQ(queue.size(), capacity);
+
+  // Drain, then refill to the capacity from the new head.
+  while (!expected.empty()) {
+    pop();
+  }
+  EXPECT_TRUE(queue.empty());
+  EXPECT_FALSE(queue.Pop().has_value());
+  for (size_t i = 0; i <= capacity; ++i) {
+    push();
+  }
+  EXPECT_EQ(queue.size(), capacity);
+  while (!queue.empty()) {
+    pop();
+  }
+  EXPECT_TRUE(expected.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, MessageQueueStorageTest,
+                         ::testing::Values(size_t{1}, size_t{2}, size_t{4},
+                                           kDefaultQueueCapacity));
 
 }  // namespace
 }  // namespace gs

@@ -10,10 +10,13 @@
 //
 // Also holds the unit tests for the allocators themselves: Slab<T> reuse,
 // generation-checked handles, deterministic Clear(), and TidMap's
-// backward-shift deletion.
+// backward-shift deletion; and the footprint tests: storage that a
+// simulated machine may never use (queue slots, histogram buckets) is
+// requested on first use, so building a machine stays cheap.
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,19 +24,25 @@
 
 #include "src/agent/agent_process.h"
 #include "src/base/flat_map.h"
+#include "src/base/histogram.h"
 #include "src/base/slab.h"
 #include "src/ghost/machine.h"
+#include "src/ghost/message_queue.h"
 #include "src/policies/centralized_fifo.h"
+#include "src/policies/per_cpu_fifo.h"
+#include "src/stats/stats.h"
 
 namespace {
 
 std::atomic<uint64_t> g_allocs{0};
 std::atomic<uint64_t> g_frees{0};
+std::atomic<uint64_t> g_bytes{0};  // requested, not net of frees
 
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) {
     return p;
   }
@@ -236,6 +245,80 @@ TEST(SimAllocTest, GhostSteadyStateIsAllocationFree) {
       << "steady-state scheduling (messages, wakeups, commits) must not "
          "allocate; "
       << allocs << " heap allocations leaked into " << iters << " iterations";
+}
+
+// ---- Footprint -------------------------------------------------------------
+
+// Heap bytes requested while `fn` runs.
+template <typename Fn>
+uint64_t BytesRequestedBy(Fn&& fn) {
+  const uint64_t before = g_bytes.load(std::memory_order_relaxed);
+  fn();
+  return g_bytes.load(std::memory_order_relaxed) - before;
+}
+
+TEST(SimFootprintTest, MessageQueueRequestsStorageOnUse) {
+  std::optional<MessageQueue> queue;
+  EXPECT_EQ(BytesRequestedBy([&] { queue.emplace(/*id=*/0, kDefaultQueueCapacity); }), 0u)
+      << "an empty queue must not reserve its logical capacity";
+
+  constexpr int kDepth = 300;
+  auto fill = [&] {
+    for (int i = 0; i < kDepth; ++i) {
+      ASSERT_TRUE(queue->Push(Message{}));
+    }
+  };
+  fill();
+  while (queue->Pop().has_value()) {
+  }
+  const uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
+  fill();
+  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), allocs_before)
+      << "refilling a drained queue to its previous depth must reuse its storage";
+}
+
+TEST(SimFootprintTest, UnobservedHistogramsRequestNoBuckets) {
+  std::optional<Histogram> histogram;
+  EXPECT_EQ(BytesRequestedBy([&] { histogram.emplace(); }), 0u);
+
+  // Disabled, as in a stats-off run: its histograms are registered but
+  // never observed.
+  StatsRegistry registry;
+  const uint64_t counter_bytes = BytesRequestedBy([&] { registry.GetCounter("idle_a"); });
+  HistogramMetric* metric = nullptr;
+  const uint64_t histogram_bytes =
+      BytesRequestedBy([&] { metric = registry.GetHistogram("idle_b"); });
+  // A histogram's registration differs from a counter's only in the metric
+  // object itself.
+  EXPECT_LE(histogram_bytes, counter_bytes + sizeof(HistogramMetric));
+  EXPECT_EQ(BytesRequestedBy([&] { metric->Observe(1'000); }), 0u);
+}
+
+TEST(SimFootprintTest, FleetNodeMachineFitsItsBudget) {
+  // One fleet_rpc machine: 1 socket x 2 cores x 2 SMT, per-CPU FIFO agents
+  // on CPUs 1-3. Its four queues pre-sized to the default capacity would
+  // alone request 3.25 MB (4 x 8192 x 104 B); the budget covers the slabs'
+  // first chunks and the per-CPU tables.
+  constexpr uint64_t kBudget = 512 << 10;
+  std::optional<Machine> m;
+  std::unique_ptr<Enclave> enclave;
+  std::optional<AgentProcess> process;
+  const uint64_t built = BytesRequestedBy([&] {
+    m.emplace(Topology::Make("fleet_node", /*sockets=*/1, /*cores_per_socket=*/2,
+                             /*smt=*/2, /*cores_per_ccx=*/2));
+    CpuMask agent_cpus;
+    for (int cpu = 1; cpu <= 3; ++cpu) {
+      agent_cpus.Set(cpu);
+    }
+    enclave = m->CreateEnclave(agent_cpus);
+    process.emplace(&m->kernel(), m->ghost_class(), enclave.get(),
+                    std::make_unique<PerCpuFifoPolicy>());
+    process->Start();
+  });
+  EXPECT_LE(built, kBudget);
+  // Shutting down agents that were woken but never ran CHECK-fails, so let
+  // them come up before teardown.
+  m->RunFor(Milliseconds(1));
 }
 
 }  // namespace
