@@ -16,8 +16,8 @@
 #include "bench/harness.h"
 #include "bench/machine_trace.h"
 #include "src/agent/agent_process.h"
-#include "src/ghost/machine.h"
 #include "src/policies/centralized_fifo.h"
+#include "src/sim/simulation.h"
 #include "src/workloads/request_service.h"
 
 namespace gs {
@@ -38,8 +38,7 @@ struct Result {
 };
 
 Result Run(bench::Run& run, bool use_fastpath, uint64_t seed) {
-  Machine m(Topology::Make("small-8", 1, 8, 1, 8), CostModel(),
-            /*with_core_sched=*/false, &run.stats());
+  SimulationContext m({.topology = Topology::Make("small-8", 1, 8, 1, 8), .stats = &run.stats()});
   bench::ScopedMachineTrace trace_scope(run, m.kernel());
   auto enclave = m.CreateEnclave(CpuMask::AllUpTo(8));
   CentralizedFifoPolicy::Options options;

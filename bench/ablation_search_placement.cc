@@ -11,8 +11,8 @@
 #include "bench/harness.h"
 #include "bench/machine_trace.h"
 #include "src/agent/agent_process.h"
-#include "src/ghost/machine.h"
 #include "src/policies/search.h"
+#include "src/sim/simulation.h"
 #include "src/workloads/search_workload.h"
 
 namespace gs {
@@ -26,8 +26,8 @@ struct Result {
 };
 
 Result Run(bench::Run& run, bool ccx_aware, Duration max_pending) {
-  Machine m(Topology::AmdRome256(), CostModel().WithCacheWarmth(),
-            /*with_core_sched=*/false, &run.stats());
+  SimulationContext m({.topology = Topology::AmdRome256(), .cost = CostModel().WithCacheWarmth(),
+                       .stats = &run.stats()});
   bench::ScopedMachineTrace trace_scope(run, m.kernel());
   auto enclave = m.CreateEnclave(m.kernel().topology().AllCpus());
   SearchPolicy::Options options;

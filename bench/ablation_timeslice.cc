@@ -12,8 +12,9 @@
 #include "bench/harness.h"
 #include "bench/machine_trace.h"
 #include "src/agent/agent_process.h"
-#include "src/ghost/machine.h"
-#include "src/policies/shinjuku.h"
+#include "src/policies/centralized_fifo.h"
+#include "src/policies/factory.h"
+#include "src/sim/simulation.h"
 #include "src/workloads/request_service.h"
 
 namespace gs {
@@ -48,13 +49,15 @@ Result Run(bench::Run& run, Duration timeslice) {
   CostModel cost;
   cost.smt_contention_factor = 1.0;
   cost.agent_smt_contention_factor = 1.0;
-  Machine m(Topology::IntelE5_24(), cost, /*with_core_sched=*/false, &run.stats());
+  SimulationContext m({.topology = Topology::IntelE5_24(), .cost = cost, .stats = &run.stats()});
   bench::ScopedMachineTrace trace_scope(run, m.kernel());
   CpuMask enclave_cpus = ServerCpus();
   enclave_cpus.Set(1);
   auto enclave = m.CreateEnclave(enclave_cpus);
-  auto policy = MakeShinjukuPolicy(timeslice, /*global_cpu=*/1);
-  CentralizedFifoPolicy* policy_ptr = policy.get();
+  std::unique_ptr<Policy> policy = MakePolicy(
+      {.kind = "shinjuku", .global_cpu = 1, .timeslice_us = static_cast<double>(timeslice) / 1e3},
+      {});
+  auto* policy_ptr = static_cast<CentralizedFifoPolicy*>(policy.get());
   AgentProcess process(&m.kernel(), m.ghost_class(), enclave.get(), std::move(policy));
   process.Start();
 

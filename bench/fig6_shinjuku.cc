@@ -23,8 +23,8 @@
 #include "bench/machine_trace.h"
 #include "src/agent/agent_process.h"
 #include "src/baselines/shinjuku_dataplane.h"
-#include "src/ghost/machine.h"
 #include "src/policies/factory.h"
+#include "src/sim/simulation.h"
 #include "src/workloads/batch.h"
 #include "src/workloads/request_service.h"
 
@@ -75,13 +75,13 @@ CostModel Fig6Cost() {
   return cost;
 }
 
-Machine MakeMachine(bench::Run& run) {
-  return Machine(Topology::IntelE5_24(), Fig6Cost(), /*with_core_sched=*/false,
-                 &run.stats());
+SimulationContext MakeMachine(bench::Run& run) {
+  return SimulationContext({.topology = Topology::IntelE5_24(), .cost = Fig6Cost(),
+                            .stats = &run.stats()});
 }
 
 Result RunGhost(bench::Run& run, double offered_kqps, bool with_batch, uint64_t seed) {
-  Machine m = MakeMachine(run);
+  SimulationContext m = MakeMachine(run);
   bench::ScopedMachineTrace trace_scope(run, m.kernel());
   CpuMask enclave_cpus = ServerCpus();
   enclave_cpus.Set(1);  // global agent home
@@ -90,9 +90,9 @@ Result RunGhost(bench::Run& run, double offered_kqps, bool with_batch, uint64_t 
   BatchApp batch(&m.kernel(), {.num_threads = kBatchThreads});
   auto batch_tids = std::make_shared<std::set<int64_t>>();
   // Construct through the factory — the same path the scenario runner uses.
-  scenario::PolicySpec spec;
-  spec.kind = with_batch ? "shinjuku_shenango" : "shinjuku";
-  spec.timeslice_us = static_cast<double>(kTimeslice) / 1e3;
+  PolicyConfig config;
+  config.kind = with_batch ? "shinjuku_shenango" : "shinjuku";
+  config.timeslice_us = static_cast<double>(kTimeslice) / 1e3;
   PolicyEnv env;
   env.default_global_cpu = 1;
   if (with_batch) {
@@ -102,7 +102,7 @@ Result RunGhost(bench::Run& run, double offered_kqps, bool with_batch, uint64_t 
     env.tier_of = [batch_tids](int64_t tid) { return batch_tids->count(tid) ? 1 : 0; };
   }
   AgentProcess process(&m.kernel(), m.ghost_class(), enclave.get(),
-                       MakeScenarioPolicy(spec, env));
+                       MakePolicy(config, env));
   process.Start();
 
   ThreadPoolServer server(&m.kernel(), {.num_workers = kNumWorkers});
@@ -144,7 +144,7 @@ Result RunGhost(bench::Run& run, double offered_kqps, bool with_batch, uint64_t 
 }
 
 Result RunCfs(bench::Run& run, double offered_kqps, bool with_batch, uint64_t seed) {
-  Machine m = MakeMachine(run);
+  SimulationContext m = MakeMachine(run);
   CpuMask worker_cpus = ServerCpus();
   worker_cpus.Set(1);
   worker_cpus.Set(13);
@@ -191,7 +191,7 @@ Result RunCfs(bench::Run& run, double offered_kqps, bool with_batch, uint64_t se
 }
 
 Result RunShinjuku(bench::Run& run, double offered_kqps, bool with_batch, uint64_t seed) {
-  Machine m = MakeMachine(run);
+  SimulationContext m = MakeMachine(run);
   ShinjukuDataplane::Options options;
   const CpuMask workers = ServerCpus();
   for (int cpu = workers.First(); cpu >= 0; cpu = workers.NextAfter(cpu)) {

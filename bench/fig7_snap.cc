@@ -15,8 +15,8 @@
 #include "bench/harness.h"
 #include "bench/machine_trace.h"
 #include "src/agent/agent_process.h"
-#include "src/ghost/machine.h"
-#include "src/policies/shinjuku.h"
+#include "src/policies/factory.h"
+#include "src/sim/simulation.h"
 #include "src/workloads/batch.h"
 #include "src/workloads/snap.h"
 
@@ -49,7 +49,7 @@ struct RunResult {
 };
 
 RunResult RunMicroQuanta(bench::Run& run, bool loaded, uint64_t seed) {
-  Machine m(SnapTopo(), CostModel(), /*with_core_sched=*/false, &run.stats());
+  SimulationContext m({.topology = SnapTopo(), .stats = &run.stats()});
   SnapSystem snap(&m.kernel(), {.seed = seed});
   for (Task* engine : snap.engine_threads()) {
     m.kernel().SetSchedClass(engine, m.mq_class());
@@ -66,7 +66,7 @@ RunResult RunMicroQuanta(bench::Run& run, bool loaded, uint64_t seed) {
 }
 
 RunResult RunGhost(bench::Run& run, bool loaded, uint64_t seed) {
-  Machine m(SnapTopo(), CostModel(), /*with_core_sched=*/false, &run.stats());
+  SimulationContext m({.topology = SnapTopo(), .stats = &run.stats()});
   bench::ScopedMachineTrace trace_scope(run, m.kernel());
   auto enclave = m.CreateEnclave(m.kernel().topology().AllCpus());
   SnapSystem snap(&m.kernel(), {.seed = seed});
@@ -78,10 +78,10 @@ RunResult RunGhost(bench::Run& run, bool loaded, uint64_t seed) {
   }
   // §4.3: "a simple, yet effective centralized FIFO policy ... giving Snap
   // worker threads strict priority over antagonist threads".
-  AgentProcess process(
-      &m.kernel(), m.ghost_class(), enclave.get(),
-      MakeSnapPolicy([engine_tids](int64_t tid) { return engine_tids->count(tid) ? 0 : 1; },
-                     /*global_cpu=*/0));
+  PolicyEnv env;
+  env.tier_of = [engine_tids](int64_t tid) { return engine_tids->count(tid) ? 0 : 1; };
+  AgentProcess process(&m.kernel(), m.ghost_class(), enclave.get(),
+                       MakePolicy({.kind = "snap", .global_cpu = 0}, env));
   process.Start();
   for (Task* engine : snap.engine_threads()) {
     enclave->AddTask(engine);

@@ -14,8 +14,8 @@
 #include "bench/harness.h"
 #include "bench/machine_trace.h"
 #include "src/agent/agent_process.h"
-#include "src/ghost/machine.h"
 #include "src/policies/factory.h"
+#include "src/sim/simulation.h"
 #include "src/workloads/search_workload.h"
 
 namespace gs {
@@ -56,8 +56,8 @@ Series Collect(bench::Run& run, SearchWorkload& workload, const char* system) {
 }
 
 Series RunCfs(bench::Run& run, uint64_t seed) {
-  Machine m(Topology::AmdRome256(), CostModel().WithCacheWarmth(),
-            /*with_core_sched=*/false, &run.stats());
+  SimulationContext m({.topology = Topology::AmdRome256(), .cost = CostModel().WithCacheWarmth(),
+                       .stats = &run.stats()});
   SearchWorkload workload(&m.kernel(), {.seed = seed});
   workload.Start(kRun);
   m.RunFor(kRun + Milliseconds(200));
@@ -65,16 +65,16 @@ Series RunCfs(bench::Run& run, uint64_t seed) {
 }
 
 Series RunGhost(bench::Run& run, uint64_t seed) {
-  Machine m(Topology::AmdRome256(), CostModel().WithCacheWarmth(),
-            /*with_core_sched=*/false, &run.stats());
+  SimulationContext m({.topology = Topology::AmdRome256(), .cost = CostModel().WithCacheWarmth(),
+                       .stats = &run.stats()});
   bench::ScopedMachineTrace trace_scope(run, m.kernel());
   auto enclave = m.CreateEnclave(m.kernel().topology().AllCpus());
   // Construct through the factory — the same path the scenario runner uses.
-  scenario::PolicySpec spec;
-  spec.kind = "search";
-  spec.global_cpu = 0;
+  PolicyConfig config;
+  config.kind = "search";
+  config.global_cpu = 0;
   AgentProcess process(&m.kernel(), m.ghost_class(), enclave.get(),
-                       MakeScenarioPolicy(spec, PolicyEnv{}));
+                       MakePolicy(config, PolicyEnv{}));
   process.Start();
 
   SearchWorkload workload(&m.kernel(), {.seed = seed});

@@ -13,9 +13,9 @@
 //   wakeup-affinity predictor into placement as a CCX hint, pulling
 //   threads back to the CCX their history says is warm.
 //
-// Every ghOSt policy here is constructed through the factory
-// (MakeScenarioPolicy), the same single construction path the scenario
-// runner uses — the bench differs from a scenario only in workload wiring.
+// Every ghOSt policy here is constructed through the factory (MakePolicy),
+// the same single construction path the scenario runner uses — the bench
+// differs from a scenario only in workload wiring.
 #include <algorithm>
 #include <cstdio>
 #include <functional>
@@ -25,12 +25,11 @@
 #include "bench/harness.h"
 #include "bench/machine_trace.h"
 #include "src/agent/agent_process.h"
-#include "src/ghost/machine.h"
 #include "src/policies/centralized_fifo.h"
 #include "src/policies/factory.h"
 #include "src/policies/predictive_shinjuku.h"
 #include "src/policies/search.h"
-#include "src/scenario/scenario.h"
+#include "src/sim/simulation.h"
 #include "src/workloads/request_service.h"
 #include "src/workloads/search_workload.h"
 
@@ -78,11 +77,11 @@ struct Result {
 // One Fig 6 run under the factory-built policy for `spec`. The policy is
 // owned by the in-run AgentProcess, so `scrape` (may be null) is invoked
 // with it after the run completes but before teardown.
-Result RunFig6(bench::Run& run, const scenario::PolicySpec& spec,
+Result RunFig6(bench::Run& run, const PolicyConfig& spec,
                double offered_kqps, uint64_t seed,
                const std::function<void(const Policy&)>& scrape) {
-  Machine m(Topology::IntelE5_24(), Fig6Cost(), /*with_core_sched=*/false,
-            &run.stats());
+  SimulationContext m({.topology = Topology::IntelE5_24(), .cost = Fig6Cost(),
+                       .stats = &run.stats()});
   bench::ScopedMachineTrace trace_scope(run, m.kernel());
   CpuMask enclave_cpus = ServerCpus();
   enclave_cpus.Set(1);  // global agent home
@@ -90,7 +89,7 @@ Result RunFig6(bench::Run& run, const scenario::PolicySpec& spec,
 
   PolicyEnv env;
   env.default_global_cpu = 1;
-  std::unique_ptr<Policy> policy = MakeScenarioPolicy(spec, env);
+  std::unique_ptr<Policy> policy = MakePolicy(spec, env);
   Policy* policy_ptr = policy.get();
   AgentProcess process(&m.kernel(), m.ghost_class(), enclave.get(),
                        std::move(policy));
@@ -154,7 +153,7 @@ void RunShinjukuSweep(bench::Run& run) {
     const uint64_t seed = run.seed() + static_cast<uint64_t>(load);
     const std::string sfx = "{load=" + std::to_string(static_cast<int>(load)) + "}";
 
-    scenario::PolicySpec probe_spec;
+    PolicyConfig probe_spec;
     probe_spec.kind = "shinjuku";
     probe_spec.timeslice_us = 30;
     const Result probe =
@@ -167,7 +166,7 @@ void RunShinjukuSweep(bench::Run& run) {
         });
     RecordFig6(run, "ghost-shinjuku", probe);
 
-    scenario::PolicySpec pred_spec;
+    PolicyConfig pred_spec;
     pred_spec.kind = "predictive_shinjuku";
     pred_spec.timeslice_us = 30;
     pred_spec.long_threshold_us = 100;
@@ -206,16 +205,16 @@ void RunShinjukuSweep(bench::Run& run) {
 
 double RunSearch(bench::Run& run, bool predictive, uint64_t seed,
                  const char* system) {
-  Machine m(Topology::AmdRome256(), CostModel().WithCacheWarmth(),
-            /*with_core_sched=*/false, &run.stats());
+  SimulationContext m({.topology = Topology::AmdRome256(), .cost = CostModel().WithCacheWarmth(),
+                       .stats = &run.stats()});
   auto enclave = m.CreateEnclave(m.kernel().topology().AllCpus());
 
-  scenario::PolicySpec spec;
+  PolicyConfig spec;
   spec.kind = predictive ? "predictive_search" : "search";
   spec.global_cpu = 0;
   PolicyEnv env;
   env.default_global_cpu = 0;
-  std::unique_ptr<Policy> policy = MakeScenarioPolicy(spec, env);
+  std::unique_ptr<Policy> policy = MakePolicy(spec, env);
   auto* search = static_cast<SearchPolicy*>(policy.get());
   AgentProcess process(&m.kernel(), m.ghost_class(), enclave.get(),
                        std::move(policy));

@@ -39,8 +39,8 @@
 // byte-identical to a serial one.
 //
 // Each repetition runs against its own `Run` — per-run rows, metrics, and a
-// per-run StatsRegistry the benchmark passes to the Machine/SimulationContext
-// it builds. Passing --json enables those registries, so the "stats" block
+// per-run StatsRegistry the benchmark passes to each SimulationContext it
+// builds. Passing --json enables those registries, so the "stats" block
 // carries the kernel/ghost/agent counters for the run; without --json (and
 // without --trace-out) the instrumentation stays disabled and the benchmark
 // measures the zero-overhead path.
@@ -103,8 +103,8 @@ class Run {
   Scale scale() const;
   bool quick() const;
 
-  // The registry for this run's machine(s): pass `&stats()` to the Machine /
-  // SimulationContext constructor. Enabled iff --json or --trace-out was
+  // The registry for this run's machine(s): pass `&stats()` as
+  // SimulationContext::Options::stats. Enabled iff --json or --trace-out was
   // given (results without counters would be hollow; plain stdout runs keep
   // the zero-overhead path).
   StatsRegistry& stats() { return stats_; }

@@ -1,9 +1,9 @@
-// Scoped glue between a benchmark's Machine run and the harness trace
+// Scoped glue between a benchmark's machine run and the harness trace
 // exporter.
 //
-// Declare one of these right after constructing the Machine:
+// Declare one of these right after constructing the SimulationContext:
 //
-//   Machine m = MakeMachine();
+//   SimulationContext m({.topology = Topology::IntelE5_24(), .stats = &run.stats()});
 //   ScopedMachineTrace trace_scope(run, m.kernel());
 //
 // On construction it attaches the exporter to this run's kernel trace (only

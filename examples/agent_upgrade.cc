@@ -11,10 +11,9 @@
 #include <cstdio>
 #include <memory>
 
-#include "src/agent/agent_process.h"
-#include "src/ghost/machine.h"
+#include "src/policies/factory.h"
 #include "src/policies/per_cpu_fifo.h"
-#include "src/policies/shinjuku.h"
+#include "src/sim/simulation.h"
 
 using namespace gs;
 
@@ -22,7 +21,7 @@ namespace {
 
 // Self-rearming worker cycle: burn 300us, sleep 200us, repeat — plain
 // recursion instead of a heap-allocated self-referential closure.
-void ArmBurst(Machine& machine, Task* t) {
+void ArmBurst(SimulationContext& machine, Task* t) {
   Kernel& kernel = machine.kernel();
   kernel.StartBurst(t, Microseconds(300), [&machine, &kernel](Task* task) {
     kernel.Block(task);
@@ -33,7 +32,7 @@ void ArmBurst(Machine& machine, Task* t) {
   });
 }
 
-Task* SpawnWorker(Machine& machine, Enclave& enclave, int i) {
+Task* SpawnWorker(SimulationContext& machine, Enclave& enclave, int i) {
   Kernel& kernel = machine.kernel();
   Task* t = kernel.CreateTask("worker/" + std::to_string(i));
   enclave.AddTask(t);
@@ -49,12 +48,11 @@ int main() {
   config.watchdog_timeout = Milliseconds(50);
   config.watchdog_period = Milliseconds(10);
 
-  Machine machine(Topology::Make("upgrade-demo", 1, 4, 1, 4));
+  SimulationContext machine({.topology = Topology::Make("upgrade-demo", 1, 4, 1, 4)});
   auto enclave = machine.CreateEnclave(CpuMask::AllUpTo(4), config);
 
-  auto old_agents = std::make_unique<AgentProcess>(
-      &machine.kernel(), machine.ghost_class(), enclave.get(),
-      std::make_unique<PerCpuFifoPolicy>());
+  auto old_agents =
+      machine.CreateAgentProcess(enclave.get(), std::make_unique<PerCpuFifoPolicy>());
   old_agents->Start();
 
   std::vector<Task*> workers;
@@ -71,9 +69,8 @@ int main() {
 
   // --- In-place upgrade: old agent exits, new policy attaches. -------------
   old_agents->Shutdown();
-  auto new_agents = std::make_unique<AgentProcess>(
-      &machine.kernel(), machine.ghost_class(), enclave.get(),
-      MakeShinjukuPolicy(Microseconds(50), /*global_cpu=*/0));
+  auto new_agents = machine.CreateAgentProcess(
+      enclave.get(), MakePolicy({.kind = "shinjuku", .global_cpu = 0, .timeslice_us = 50}, {}));
   new_agents->Start();
   std::printf("upgraded policy %s -> %s without touching the threads\n",
               "per-cpu-fifo", new_agents->policy()->name());

@@ -73,9 +73,7 @@ class HintPriorityPolicy : public GlobalAgentPolicy {
 }  // namespace
 
 int main() {
-  SimulationContext::Options options;
-  options.topology = Topology::Make("custom", 1, 2, 1, 2);
-  SimulationContext sim(std::move(options));
+  SimulationContext sim({.topology = Topology::Make("custom", 1, 2, 1, 2)});
   auto enclave = sim.CreateEnclave(CpuMask::AllUpTo(2));
   auto policy = std::make_unique<HintPriorityPolicy>();
   HintPriorityPolicy* policy_ptr = policy.get();

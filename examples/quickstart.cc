@@ -1,8 +1,8 @@
 // Quickstart: delegate scheduling of a few threads to a userspace agent.
 //
 // This walks the whole ghOSt flow end to end on a small simulated machine:
-//   1. build a SimulationContext (one owned machine: kernel + scheduling-
-//      class hierarchy + stats registry + RNG seed),
+//   1. build a SimulationContext (one owned machine: event loop + kernel +
+//      scheduling-class hierarchy + stats registry),
 //   2. carve out an enclave over some CPUs,
 //   3. attach an agent process running a per-CPU FIFO policy (Fig 3),
 //   4. move native threads into the enclave,
@@ -42,11 +42,8 @@ int main() {
   // context owns the event loop, kernel, and this run's stats registry —
   // several of these can coexist (even on different threads) without
   // sharing anything.
-  SimulationContext::Options options;
-  options.topology = Topology::Make("quickstart", 1, 4, 1, 4);
-  options.seed = 1;
-  options.enable_stats = true;
-  SimulationContext sim(std::move(options));
+  SimulationContext sim(
+      {.topology = Topology::Make("quickstart", 1, 4, 1, 4), .enable_stats = true});
   Kernel& kernel = sim.kernel();
 
   // The enclave owns CPUs 0-3; its threads are scheduled by our agent.
@@ -89,5 +86,11 @@ int main() {
   std::printf("policy: %llu local schedules, %llu ESTALE retries\n",
               (unsigned long long)policy->scheduled(),
               (unsigned long long)policy->estale_failures());
+  for (Task* t : threads) {
+    if (t->state() != TaskState::kDead || t->total_runtime() != Microseconds(1000)) {
+      std::printf("ERROR: %s did not finish its 1000 us of work\n", t->name().c_str());
+      return 1;
+    }
+  }
   return 0;
 }

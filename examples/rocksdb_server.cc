@@ -8,10 +8,10 @@
 #include <cstdio>
 #include <memory>
 
-#include "src/agent/agent_process.h"
 #include "src/base/rng.h"
-#include "src/ghost/machine.h"
-#include "src/policies/shinjuku.h"
+#include "src/policies/centralized_fifo.h"
+#include "src/policies/factory.h"
+#include "src/sim/simulation.h"
 #include "src/workloads/request_service.h"
 #include "src/workloads/rocksdb.h"
 
@@ -31,11 +31,11 @@ int main() {
   MiniRocks db;
   db.LoadSyntheticKeys(kKeys, /*value_bytes=*/64);
 
-  Machine machine(Topology::Make("kv-server", 1, 6, 2, 6));
+  SimulationContext machine({.topology = Topology::Make("kv-server", 1, 6, 2, 6)});
   auto enclave = machine.CreateEnclave(CpuMask::AllUpTo(12));
-  AgentProcess agents(&machine.kernel(), machine.ghost_class(), enclave.get(),
-                      MakeShinjukuPolicy(Microseconds(30), /*global_cpu=*/0));
-  agents.Start();
+  auto agents = machine.CreateAgentProcess(
+      enclave.get(), MakePolicy({.kind = "shinjuku", .global_cpu = 0, .timeslice_us = 30}, {}));
+  agents->Start();
 
   ThreadPoolServer server(&machine.kernel(), {.num_workers = 64});
   for (Task* worker : server.workers()) {
@@ -75,10 +75,15 @@ int main() {
               db.ApproximateSize(), (unsigned long long)db.stats().gets,
               (unsigned long long)db.stats().scans,
               (unsigned long long)db.last_sequence());
-  auto* policy = static_cast<CentralizedFifoPolicy*>(agents.policy());
+  auto* policy = static_cast<CentralizedFifoPolicy*>(agents->policy());
   std::printf("shinjuku policy: %llu schedules, %llu preemptions (30us slice kept "
               "GET tails low despite %lld multi-ms scans)\n",
               (unsigned long long)policy->scheduled(),
               (unsigned long long)policy->preemptions(), (long long)scans);
+  if (server.completed() != gets + scans) {
+    std::printf("ERROR: %lld of %lld requests never completed\n",
+                (long long)(gets + scans - server.completed()), (long long)(gets + scans));
+    return 1;
+  }
   return 0;
 }

@@ -8,8 +8,8 @@
 #include <memory>
 
 #include "src/agent/agent_process.h"
-#include "src/ghost/machine.h"
 #include "src/policies/vm_core_sched.h"
+#include "src/sim/simulation.h"
 #include "src/workloads/vm_workload.h"
 
 using namespace gs;
@@ -17,7 +17,7 @@ using namespace gs;
 int main() {
   // 6 physical cores / 12 CPUs hosting 10 VMs x 2 vCPUs: heavy
   // oversubscription forces constant core rotation.
-  Machine machine(Topology::Make("vm-host", 1, 6, 2, 6));
+  SimulationContext machine({.topology = Topology::Make("vm-host", 1, 6, 2, 6)});
   auto enclave = machine.CreateEnclave(machine.kernel().topology().AllCpus());
 
   VmWorkload vms(&machine.kernel(),

@@ -59,6 +59,15 @@ class GlobalAgentPolicy : public Policy {
   bool CommitAssignments(AgentContext& ctx, bool use_tseq, OnResult on_result,
                          size_t max_group = SIZE_MAX);
 
+  // The full-view replacement a subclass's Restore() (also the overflow-
+  // resync path) runs after clearing its own runqueues: clears the task
+  // table, routes every dumped thread to the default queue, copies its
+  // tseq/affinity/runnable state and, when on a CPU, that CPU as
+  // assigned_cpu, then calls place(task, info) to seat it as running or
+  // queue it.
+  template <typename Place>
+  void RestoreView(const std::vector<Enclave::TaskInfo>& dump, Place place);
+
  private:
   // Wakes a blocked inactive agent on an idle CPU as the new global agent;
   // false if no idle CPU has one.
@@ -114,6 +123,24 @@ bool GlobalAgentPolicy::CommitAssignments(AgentContext& ctx, bool use_tseq,
     on_result(cpu, task, committed);
   }
   return any;
+}
+
+template <typename Place>
+void GlobalAgentPolicy::RestoreView(const std::vector<Enclave::TaskInfo>& dump, Place place) {
+  table().Clear();
+  for (const Enclave::TaskInfo& info : dump) {
+    // Route future messages to this policy's (default) queue, regardless of
+    // what the previous agent had configured.
+    CHECK(enclave_->AssociateQueue(info.tid, enclave_->default_queue()));
+    PolicyTask* task = table().Add(info.tid);
+    task->tseq = info.tseq;
+    task->affinity = info.affinity;
+    task->runnable = info.runnable;
+    if (info.on_cpu) {
+      task->assigned_cpu = info.cpu;
+    }
+    place(task, info);
+  }
 }
 
 }  // namespace gs

@@ -147,10 +147,10 @@ MachineSim::MachineSim(const scenario::ScenarioSpec& spec, const Options& machin
       env.cookie_of = [vm_ptr](int64_t tid) { return vm_ptr->CookieOf(tid); };
     }
     if (spec_.ab_test.has_value()) {
-      env.ab_test = &*spec_.ab_test;
+      env.ab_test = {.canary_percent = spec_.ab_test->canary.percent,
+                     .canary_lifo = spec_.ab_test->canary.lifo};
     }
-    process_ = ctx_->CreateAgentProcess(enclave_.get(),
-                                        MakeScenarioPolicy(spec_.policy, env));
+    process_ = ctx_->CreateAgentProcess(enclave_.get(), MakePolicy(spec_.policy, env));
     process_->Start();
 
     // ---- A/B promote / rollback plan (§3.4 hot-swap under load) -------------

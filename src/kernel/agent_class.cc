@@ -39,8 +39,14 @@ int AgentClass::CpuOf(const Task* task) const {
 }
 
 void AgentClass::TaskDeparted(Task* task) {
-  const int cpu = CpuOf(task);
-  agents_[cpu].queued = false;
+  for (Slot& slot : agents_) {
+    if (slot.task == task) {
+      slot.queued = false;
+      return;
+    }
+  }
+  // The agent was unregistered (process shutdown/crash) before it was
+  // killed, which already cleared its slot — possibly before it ever ran.
 }
 
 void AgentClass::EnqueueWake(Task* task) {

@@ -29,9 +29,8 @@ Kernel::Kernel(EventLoop* loop, Topology topology, CostModel cost,
     : loop_(loop),
       topology_(std::move(topology)),
       cost_(cost),
-      owned_stats_(stats_registry == nullptr ? std::make_unique<StatsRegistry>()
-                                             : nullptr),
-      stats_(stats_registry == nullptr ? owned_stats_.get() : stats_registry) {
+      stats_(stats_registry) {
+  CHECK(stats_ != nullptr) << "a kernel needs a stats registry";
   StatsRegistry& stats = *stats_;
   stat_switch_task_ = stats.GetCounter("kernel_context_switch_total", {{"kind", "task"}});
   stat_switch_agent_ = stats.GetCounter("kernel_context_switch_total", {{"kind", "agent"}});

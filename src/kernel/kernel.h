@@ -66,12 +66,9 @@ struct CpuState {
 
 class Kernel {
  public:
-  // `stats` is the registry instrumentation lands in; the kernel does not own
-  // it (a SimulationContext typically does). nullptr => the kernel creates a
-  // private, disabled registry so metric pointers stay valid at zero cost —
-  // handy for tests that build a bare Kernel/Machine without a context.
-  Kernel(EventLoop* loop, Topology topology, CostModel cost = CostModel(),
-         StatsRegistry* stats = nullptr);
+  // `stats` is the registry instrumentation lands in (never nullptr); the
+  // kernel borrows it from its owner, normally a SimulationContext.
+  Kernel(EventLoop* loop, Topology topology, CostModel cost, StatsRegistry* stats);
   ~Kernel();
 
   Kernel(const Kernel&) = delete;
@@ -232,8 +229,6 @@ class Kernel {
   EventLoop* loop_;
   Topology topology_;
   CostModel cost_;
-  // Fallback registry when the constructor got no external one.
-  std::unique_ptr<StatsRegistry> owned_stats_;
   StatsRegistry* stats_;
 
   std::vector<std::unique_ptr<SchedClass>> classes_;

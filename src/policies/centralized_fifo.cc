@@ -23,27 +23,18 @@ void CentralizedFifoPolicy::Attached(AgentProcess* process, Enclave* enclave,
 
 void CentralizedFifoPolicy::Restore(const std::vector<Enclave::TaskInfo>& dump) {
   // Restore() is also the overflow-resync path: the dump replaces the whole
-  // view, so stale runqueue/table state must go first.
+  // view, so stale runqueue state must go first.
   fifo_[0].Clear();
   fifo_[1].Clear();
   running_.assign(running_.size(), Running{});
-  table().Clear();
-  for (const Enclave::TaskInfo& info : dump) {
-    // Route future messages to this policy's (default) queue, regardless of
-    // what the previous agent had configured.
-    CHECK(enclave()->AssociateQueue(info.tid, enclave()->default_queue()));
-    PolicyTask* task = table().Add(info.tid);
-    task->tseq = info.tseq;
-    task->affinity = info.affinity;
+  RestoreView(dump, [this](PolicyTask* task, const Enclave::TaskInfo& info) {
     task->tier = options_.tier_of(info.tid);
-    task->runnable = info.runnable;
     if (info.on_cpu) {
-      task->assigned_cpu = info.cpu;
       running_[info.cpu] = Running{task, 0};
     } else if (info.runnable) {
       Enqueue(task, /*front=*/false);
     }
-  }
+  });
 }
 
 void CentralizedFifoPolicy::Enqueue(PolicyTask* task, bool front) {

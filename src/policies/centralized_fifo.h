@@ -53,6 +53,7 @@ class CentralizedFifoPolicy : public GlobalAgentPolicy {
   explicit CentralizedFifoPolicy(Options options);
 
   const char* name() const override { return "centralized-fifo"; }
+  const Options& options() const { return options_; }
   void Attached(AgentProcess* process, Enclave* enclave, Kernel* kernel) override;
   void Restore(const std::vector<Enclave::TaskInfo>& dump) override;
 

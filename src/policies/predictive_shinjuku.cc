@@ -31,14 +31,8 @@ void PredictiveShinjukuPolicy::Restore(const std::vector<Enclave::TaskInfo>& dum
   }
   running_.assign(running_.size(), Running{});
   states_.clear();
-  table().Clear();
-  for (const Enclave::TaskInfo& info : dump) {
-    CHECK(enclave()->AssociateQueue(info.tid, enclave()->default_queue()));
-    PolicyTask* task = table().Add(info.tid);
-    task->tseq = info.tseq;
-    task->affinity = info.affinity;
+  RestoreView(dump, [this](PolicyTask* task, const Enclave::TaskInfo& info) {
     task->tier = options_.tier_of(info.tid);
-    task->runnable = info.runnable;
     PredTask& st = AttachState(task);
     // No status-word context for a mid-flight interval: restart training at
     // the next wakeup and classify conservatively as short (the backstop
@@ -46,13 +40,12 @@ void PredictiveShinjukuPolicy::Restore(const std::vector<Enclave::TaskInfo>& dum
     st.lane = task->tier != 0 ? kBatch : kShort;
     st.allowance = st.lane == kBatch ? options_.rotation_slice : options_.min_backstop;
     if (info.on_cpu) {
-      task->assigned_cpu = info.cpu;
       st.on_cpu = info.cpu;
       running_[info.cpu] = Running{task, 0};
     } else if (info.runnable) {
       Enqueue(task, /*front=*/false);
     }
-  }
+  });
 }
 
 PredictiveShinjukuPolicy::PredTask& PredictiveShinjukuPolicy::AttachState(

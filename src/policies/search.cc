@@ -20,20 +20,12 @@ void SearchPolicy::Attached(AgentProcess* process, Enclave* enclave, Kernel* ker
 void SearchPolicy::Restore(const std::vector<Enclave::TaskInfo>& dump) {
   // Full view replacement (also the overflow-resync path).
   runqueue_.Clear();
-  table().Clear();
-  for (const Enclave::TaskInfo& info : dump) {
-    enclave()->AssociateQueue(info.tid, enclave()->default_queue());
-    PolicyTask* task = table().Add(info.tid);
-    task->tseq = info.tseq;
-    task->affinity = info.affinity;
-    task->runnable = info.runnable;
-    if (info.on_cpu) {
-      task->assigned_cpu = info.cpu;
-    } else if (info.runnable) {
+  RestoreView(dump, [this](PolicyTask* task, const Enclave::TaskInfo& info) {
+    if (!info.on_cpu && info.runnable) {
       task->queued = true;
       runqueue_.Push(task, 0);
     }
-  }
+  });
 }
 
 void SearchPolicy::EnqueueRunnable(AgentContext& ctx, PolicyTask* task) {

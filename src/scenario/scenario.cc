@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <span>
 #include <sstream>
 
 namespace gs {
@@ -139,7 +140,7 @@ class ObjectReader {
   std::vector<std::string> consumed_;
 };
 
-bool OneOf(const std::string& value, std::initializer_list<const char*> allowed) {
+bool OneOf(const std::string& value, std::span<const char* const> allowed) {
   for (const char* a : allowed) {
     if (value == a) {
       return true;
@@ -149,7 +150,7 @@ bool OneOf(const std::string& value, std::initializer_list<const char*> allowed)
 }
 
 std::string BadEnum(const std::string& path, const std::string& value,
-                    std::initializer_list<const char*> allowed) {
+                    std::span<const char* const> allowed) {
   std::string msg = ObjectReader::Quote(path) + ": unknown value " +
                     ObjectReader::Quote(value) + " (expected one of";
   for (const char* a : allowed) {
@@ -194,13 +195,8 @@ void ParsePolicy(const JsonValue& v, const std::string& path, PolicySpec* out,
                  std::string* error) {
   ObjectReader r(v, path, error);
   r.String("kind", &out->kind);
-  static constexpr std::initializer_list<const char*> kKinds = {
-      "centralized_fifo",    "shinjuku",          "shinjuku_shenango",
-      "snap",                "per_cpu_fifo",      "o1",
-      "search",              "predictive_shinjuku", "predictive_search",
-      "vm_core_sched",       "ab_test",           "cfs"};
-  if (r.ok() && !OneOf(out->kind, kKinds)) {
-    r.Fail(BadEnum(r.Path("kind"), out->kind, kKinds));
+  if (r.ok() && !OneOf(out->kind, kPolicyKinds)) {
+    r.Fail(BadEnum(r.Path("kind"), out->kind, kPolicyKinds));
   }
   r.Int("global_cpu", &out->global_cpu);
   r.Double("timeslice_us", &out->timeslice_us);

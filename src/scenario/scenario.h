@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "src/base/json.h"
+#include "src/policies/policy_config.h"
 
 namespace gs {
 namespace scenario {
@@ -39,32 +40,9 @@ struct TopologySpec {
   int cores_per_ccx = 4;
 };
 
-struct PolicySpec {
-  // "centralized_fifo" | "shinjuku" | "shinjuku_shenango" | "snap" |
-  // "per_cpu_fifo" | "o1" | "search" | "predictive_shinjuku" |
-  // "predictive_search" | "vm_core_sched" | "ab_test" (A/B lane split;
-  // configured by the top-level "ab_test" block) | "cfs" (no agent: the
-  // workload runs under the kernel's default scheduler).
-  std::string kind = "shinjuku";
-  int global_cpu = -1;          // centralized policies; -1 = first enclave CPU
-  double timeslice_us = 30;     // preemption timeslice (0 = run to completion)
-  // Shinjuku family: cadence at which the agent probes for expired slices
-  // (0 = track each running task's exact expiry). Lets probe-vs-predictive
-  // comparisons be a config diff.
-  double probe_interval_us = 0;
-  // predictive_shinjuku: predicted service >= threshold routes to the long
-  // lane; predicted-shorts carry a backstop of predicted * multiplier.
-  double long_threshold_us = 100;
-  int backstop_multiplier = 4;
-  // O1 parameters.
-  int num_priorities = 8;
-  double base_timeslice_ms = 6;
-  double min_timeslice_ms = 1;
-  int worker_priority = 1;      // priority assigned to workload threads
-  int antagonist_priority = 6;  // priority assigned to enclave antagonists
-  // vm_core_sched: guaranteed slice per VM per period.
-  double vm_slice_ms = 6;
-};
+// The "policy" block is the factory's own config (src/policies), so the
+// schema and the factory share one declaration of every setting and kind.
+using PolicySpec = PolicyConfig;
 
 struct ServiceSpec {
   // "fixed" | "bimodal" | "exponential".

@@ -9,11 +9,11 @@
 #include "gtest/gtest.h"
 #include "src/agent/agent_process.h"
 #include "src/agent/policy.h"
-#include "src/ghost/machine.h"
 #include "src/policies/ab_test_policy.h"
 #include "src/policies/per_cpu_fifo.h"
 #include "src/scenario/registry.h"
 #include "src/scenario/scenario_runner.h"
+#include "src/sim/simulation.h"
 
 namespace gs {
 namespace {
@@ -46,7 +46,7 @@ class DeafPolicy : public Policy {
   int boss_cpu_ = -1;
 };
 
-Task* OneShotWorker(Machine& m, Enclave& enclave, const std::string& name,
+Task* OneShotWorker(SimulationContext& m, Enclave& enclave, const std::string& name,
                     Duration burst) {
   Task* t = m.kernel().CreateTask(name);
   enclave.AddTask(t);
@@ -57,7 +57,7 @@ Task* OneShotWorker(Machine& m, Enclave& enclave, const std::string& name,
 }
 
 TEST(AbSwapTest, RestoreReplacesTasksTheOutgoingPolicyNeverPlaced) {
-  Machine m(Topology::Make("t", 1, 4, 1, 4));
+  SimulationContext m({.topology = Topology::Make("t", 1, 4, 1, 4)});
   auto enclave = m.CreateEnclave(CpuMask::AllUpTo(4));
   AgentProcess process(&m.kernel(), m.ghost_class(), enclave.get(),
                        std::make_unique<DeafPolicy>());
@@ -90,7 +90,7 @@ TEST(AbSwapTest, RestoreReplacesTasksTheOutgoingPolicyNeverPlaced) {
 }
 
 TEST(AbSwapTest, SwapBackAndForthUnderLoadLosesNothing) {
-  Machine m(Topology::Make("t", 1, 4, 1, 4));
+  SimulationContext m({.topology = Topology::Make("t", 1, 4, 1, 4)});
   auto enclave = m.CreateEnclave(CpuMask::AllUpTo(4));
   AgentProcess process(&m.kernel(), m.ghost_class(), enclave.get(),
                        std::make_unique<PerCpuFifoPolicy>());

@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "src/agent/agent_process.h"
-#include "src/ghost/machine.h"
 #include "src/policies/centralized_fifo.h"
 #include "src/policies/per_cpu_fifo.h"
+#include "src/sim/simulation.h"
 #include "tests/test_util.h"
 
 namespace gs {
@@ -19,7 +19,8 @@ class AgentTest : public ::testing::Test {
  protected:
   void Build(int cores, std::unique_ptr<Policy> policy,
              Enclave::Config config = Enclave::Config()) {
-    machine_ = std::make_unique<Machine>(SmallTopo(cores));
+    machine_ = std::make_unique<SimulationContext>(
+        SimulationContext::Options{.topology = SmallTopo(cores)});
     enclave_ = machine_->CreateEnclave(CpuMask::AllUpTo(cores), config);
     process_ = std::make_unique<AgentProcess>(&machine_->kernel(), machine_->ghost_class(),
                                               enclave_.get(), std::move(policy));
@@ -55,7 +56,7 @@ class AgentTest : public ::testing::Test {
     return task;
   }
 
-  std::unique_ptr<Machine> machine_;
+  std::unique_ptr<SimulationContext> machine_;
   std::unique_ptr<Enclave> enclave_;
   std::unique_ptr<AgentProcess> process_;
 };

@@ -2,7 +2,7 @@
 // LLC-scoped wake placement, balancing, and virtual-clock stability.
 #include <gtest/gtest.h>
 
-#include "src/ghost/machine.h"
+#include "src/sim/simulation.h"
 #include "tests/test_util.h"
 
 namespace gs {
@@ -29,7 +29,7 @@ class CfsNiceShareTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CfsNiceShareTest, ShareFollowsWeightRatio) {
   const int nice_delta = GetParam();
-  Machine m(Topology::Make("t", 1, 1, 1, 1));
+  SimulationContext m({.topology = Topology::Make("t", 1, 1, 1, 1)});
   Task* a = m.kernel().CreateTask("a");
   Task* b = m.kernel().CreateTask("b");
   m.kernel().SetNice(b, nice_delta);
@@ -56,7 +56,7 @@ class CfsFairnessTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CfsFairnessTest, EqualHogsGetEqualTime) {
   const int num_hogs = GetParam();
-  Machine m(Topology::Make("t", 1, 2, 1, 2));
+  SimulationContext m({.topology = Topology::Make("t", 1, 2, 1, 2)});
   std::vector<Task*> hogs;
   for (int i = 0; i < num_hogs; ++i) {
     hogs.push_back(SpawnHog(m.kernel(), "h" + std::to_string(i), nullptr, Milliseconds(2)));
@@ -80,7 +80,7 @@ INSTANTIATE_TEST_SUITE_P(HogCounts, CfsFairnessTest, ::testing::Values(2, 3, 4, 
 // --- Wake placement is LLC-scoped ----------------------------------------------------
 
 TEST(CfsPlacementTest, WakePrefersPrevCpu) {
-  Machine m(Topology::Make("t", 1, 4, 1, 4));
+  SimulationContext m({.topology = Topology::Make("t", 1, 4, 1, 4)});
   Task* t = m.kernel().CreateTask("t");
   m.kernel().StartBurst(t, Microseconds(100), [&](Task* task) { m.kernel().Block(task); });
   m.kernel().Wake(t);
@@ -95,7 +95,7 @@ TEST(CfsPlacementTest, WakePrefersPrevCpu) {
 TEST(CfsPlacementTest, WakeStaysInLlcWhenCcxHasIdle) {
   // Rome-style: 2 CCXs of 2 cores each. A task that last ran on CCX 0 with a
   // busy prev CPU moves within CCX 0, not to the idle CCX 1.
-  Machine m(Topology::Make("t", 1, 4, 1, 2));
+  SimulationContext m({.topology = Topology::Make("t", 1, 4, 1, 2)});
   Task* t = m.kernel().CreateTask("t");
   m.kernel().StartBurst(t, Microseconds(100), [&](Task* task) { m.kernel().Block(task); });
   m.kernel().Wake(t);
@@ -118,7 +118,7 @@ TEST(CfsPlacementTest, QueuesInLlcRatherThanCrossingIt) {
   // Both CPUs of CCX 0 are busy; CCX 1 idle. A waking task that last ran on
   // CCX 0 queues behind a CCX-0 CPU (select_idle_sibling does not scan other
   // LLCs); ms-scale balancing may move it later.
-  Machine m(Topology::Make("t", 1, 4, 1, 2));
+  SimulationContext m({.topology = Topology::Make("t", 1, 4, 1, 2)});
   Task* t = m.kernel().CreateTask("t");
   m.kernel().StartBurst(t, Microseconds(100), [&](Task* task) { m.kernel().Block(task); });
   m.kernel().Wake(t);
@@ -150,7 +150,7 @@ TEST(CfsBalanceTest, ActiveBalanceRelievesDualBusyCore) {
   // SMT machine, 2 cores / 4 CPUs: two hogs pinned-then-released on one core
   // while the other core idles. Active balance must migrate one within a few
   // balance intervals.
-  Machine m(Topology::Make("t", 1, 2, 2, 2));
+  SimulationContext m({.topology = Topology::Make("t", 1, 2, 2, 2)});
   Task* a = SpawnHog(m.kernel(), "a", nullptr, Milliseconds(1));
   Task* b = SpawnHog(m.kernel(), "b", nullptr, Milliseconds(1));
   const CpuMask core0 = m.kernel().topology().CoreMask(0);
@@ -173,7 +173,7 @@ TEST(CfsBalanceTest, ActiveBalanceRelievesDualBusyCore) {
 TEST(CfsClockTest, VruntimeStaysBoundedUnderChurn) {
   // The regression behind Fig 6c: mixed extreme nice values with heavy
   // blocking/waking churn and migrations must not blow up vruntime.
-  Machine m(Topology::Make("t", 1, 4, 1, 4));
+  SimulationContext m({.topology = Topology::Make("t", 1, 4, 1, 4)});
   Task* batch = SpawnHog(m.kernel(), "batch", nullptr, Microseconds(500));
   m.kernel().SetNice(batch, 19);
   std::vector<Task*> workers;
@@ -204,7 +204,7 @@ TEST(CfsClockTest, VruntimeStaysBoundedUnderChurn) {
 TEST(CfsClockTest, SleeperCreditBoundsWakeupLatency) {
   // A task that slept a long time must preempt a long-running hog promptly
   // (sleeper credit), not wait out the hog's accumulated lead.
-  Machine m(Topology::Make("t", 1, 1, 1, 1));
+  SimulationContext m({.topology = Topology::Make("t", 1, 1, 1, 1)});
   SpawnHog(m.kernel(), "hog", nullptr, Milliseconds(1));
   m.RunFor(Seconds(1));
   Task* sleeper = m.kernel().CreateTask("sleeper");

@@ -5,8 +5,8 @@
 
 #include "src/agent/agent_process.h"
 #include "src/base/rng.h"
-#include "src/ghost/machine.h"
 #include "src/policies/vm_core_sched.h"
+#include "src/sim/simulation.h"
 #include "src/workloads/vm_workload.h"
 #include "tests/test_util.h"
 
@@ -14,7 +14,7 @@ namespace gs {
 namespace {
 
 // Helper: create a core-sched hog with a cookie (cookie must precede wake).
-Task* CookieHog(Machine& m, const std::string& name, int64_t cookie,
+Task* CookieHog(SimulationContext& m, const std::string& name, int64_t cookie,
                 Duration chunk = Milliseconds(1)) {
   Task* t = m.kernel().CreateTask(name, m.core_sched_class());
   m.core_sched_class()->SetCookie(t, cookie);
@@ -27,7 +27,7 @@ Task* CookieHog(Machine& m, const std::string& name, int64_t cookie,
 }
 
 TEST(CoreSchedTest, TwoVmsNeverShareACore) {
-  Machine m(Topology::Make("t", 1, 1, 2, 1), CostModel(), /*with_core_sched=*/true);
+  SimulationContext m({.topology = Topology::Make("t", 1, 1, 2, 1), .with_core_sched = true});
   // One core, two VMs with two threads each: they must timeshare the core as
   // whole pairs.
   std::vector<Task*> tasks;
@@ -50,7 +50,7 @@ class CoreSchedStressTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CoreSchedStressTest, NoViolationsUnderChurn) {
   const int num_vms = GetParam();
-  Machine m(Topology::Make("t", 1, 4, 2, 4), CostModel(), /*with_core_sched=*/true);
+  SimulationContext m({.topology = Topology::Make("t", 1, 4, 2, 4), .with_core_sched = true});
   std::vector<Task*> tasks;
   // VMs whose threads run random bursts and block for random gaps.
   for (int vm = 1; vm <= num_vms; ++vm) {
@@ -93,7 +93,7 @@ class VmPolicyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(VmPolicyTest, OversubscribedVmsRotateSecurely) {
   const int num_vms = GetParam();
-  Machine m(Topology::Make("t", 1, 4, 2, 4));
+  SimulationContext m({.topology = Topology::Make("t", 1, 4, 2, 4)});
   auto enclave = m.CreateEnclave(m.kernel().topology().AllCpus());
   VmWorkload vms(&m.kernel(), {.num_vms = num_vms,
                                .vcpus_per_vm = 2,
@@ -127,7 +127,7 @@ TEST_P(VmPolicyTest, OversubscribedVmsRotateSecurely) {
 INSTANTIATE_TEST_SUITE_P(VmCounts, VmPolicyTest, ::testing::Values(2, 3, 6, 9));
 
 TEST(VmPolicyTest, SoloVcpuForcesSiblingIdle) {
-  Machine m(Topology::Make("t", 1, 2, 2, 2));
+  SimulationContext m({.topology = Topology::Make("t", 1, 2, 2, 2)});
   auto enclave = m.CreateEnclave(m.kernel().topology().AllCpus());
   // One VM with a single vCPU: its core's sibling must be forced idle, and
   // no other thread may land there.
@@ -155,7 +155,7 @@ TEST(VmPolicyTest, InPlaceUpgradeKeepsSchedulingEveryVcpu) {
   // announced. Regression: VmCoreSchedPolicy had an empty Restore(), so the
   // new agent knew no thread and every vCPU stranded; the Policy base's
   // reconciling Restore() re-announces them through TaskNew.
-  Machine m(Topology::Make("t", 1, 4, 2, 4));
+  SimulationContext m({.topology = Topology::Make("t", 1, 4, 2, 4)});
   auto enclave = m.CreateEnclave(m.kernel().topology().AllCpus());
   VmWorkload vms(&m.kernel(),
                  {.num_vms = 2, .vcpus_per_vm = 2, .work_per_vcpu = Milliseconds(20)});

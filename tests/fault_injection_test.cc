@@ -8,11 +8,11 @@
 #include <vector>
 
 #include "src/agent/agent_process.h"
-#include "src/ghost/machine.h"
 #include "src/policies/centralized_fifo.h"
 #include "src/policies/per_cpu_fifo.h"
 #include "src/sim/batch_runner.h"
 #include "src/sim/fault_injector.h"
+#include "src/sim/simulation.h"
 #include "src/sim/simulation.h"
 #include "src/verify/invariants.h"
 #include "tests/test_util.h"
@@ -28,7 +28,8 @@ class FaultInjectionTest : public ::testing::Test {
              Enclave::Config config = Enclave::Config(),
              FaultInjector::Config faults = FaultInjector::Config(),
              uint64_t seed = 42) {
-    machine_ = std::make_unique<Machine>(SmallTopo(cores));
+    machine_ = std::make_unique<SimulationContext>(
+        SimulationContext::Options{.topology = SmallTopo(cores)});
     injector_ = std::make_unique<FaultInjector>(&machine_->loop(), &machine_->kernel().trace(),
                                                 seed, faults);
     machine_->kernel().set_fault_injector(injector_.get());
@@ -76,7 +77,7 @@ class FaultInjectionTest : public ::testing::Test {
     }
   }
 
-  std::unique_ptr<Machine> machine_;
+  std::unique_ptr<SimulationContext> machine_;
   std::unique_ptr<FaultInjector> injector_;
   std::unique_ptr<Enclave> enclave_;
   std::unique_ptr<AgentProcess> process_;

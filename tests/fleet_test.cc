@@ -1,17 +1,22 @@
 // Fleet layer tests: the deterministic network model (latency, bandwidth
 // serialization, canonical flush order, partition/heal parking), the
-// front-end load balancer strategies, and the Cluster's determinism
-// contract — same seed => byte-identical results serially and on a thread
-// pool, and partition/heal chaos leaves the invariant checkers clean.
+// front-end load balancer strategies, machine teardown, and the Cluster's
+// determinism contract — same seed => byte-identical results serially and on
+// a thread pool, and partition/heal chaos leaves the invariant checkers
+// clean.
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "src/fleet/cluster.h"
 #include "src/fleet/load_balancer.h"
+#include "src/fleet/machine_sim.h"
 #include "src/fleet/network.h"
+#include "src/policies/per_cpu_fifo.h"
+#include "src/scenario/registry.h"
 #include "src/scenario/scenario.h"
 #include "src/scenario/scenario_runner.h"
+#include "src/sim/simulation.h"
 
 namespace gs {
 namespace fleet {
@@ -185,6 +190,26 @@ TEST(LoadBalancerTest, ConsistentHashSpreadsSessions) {
   for (int m = 0; m < 8; ++m) {
     EXPECT_GT(hits[static_cast<size_t>(m)], 0) << "machine " << m << " owns no keys";
   }
+}
+
+// ---- Teardown ----------------------------------------------------------------
+
+// Start() wakes every agent, but an agent first runs when the loop advances.
+// A machine must also tear down before that: process shutdown unregisters
+// each agent before killing it, so the kill reaches the agent class for an
+// agent it no longer knows.
+TEST(TeardownTest, AgentsThatNeverRanShutDownCleanly) {
+  {
+    SimulationContext sim({.topology = Topology::Make("t", 1, 2, 1, 2)});
+    auto enclave = sim.CreateEnclave(CpuMask::AllUpTo(2));
+    auto process =
+        sim.CreateAgentProcess(enclave.get(), std::make_unique<PerCpuFifoPolicy>());
+    process->Start();
+    EXPECT_EQ(process->iterations(), 0u);
+  }
+  MachineSim machine(scenario::GetBuiltinScenario("overload_recovery"),
+                     MachineSim::Options{});
+  EXPECT_EQ(machine.loop().executed_count(), 0u);
 }
 
 // ---- Cluster determinism ---------------------------------------------------

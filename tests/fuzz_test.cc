@@ -10,12 +10,12 @@
 
 #include "src/agent/agent_process.h"
 #include "src/base/rng.h"
-#include "src/ghost/machine.h"
 #include "src/policies/centralized_fifo.h"
+#include "src/policies/factory.h"
 #include "src/policies/per_cpu_fifo.h"
 #include "src/policies/search.h"
-#include "src/policies/shinjuku.h"
 #include "src/policies/work_stealing.h"
+#include "src/sim/simulation.h"
 #include "src/verify/invariants.h"
 #include "tests/test_util.h"
 
@@ -49,7 +49,7 @@ std::unique_ptr<Policy> MakePolicy(int kind) {
     case 3:
       return std::make_unique<WorkStealingPolicy>();
     case 4:
-      return MakeShinjukuPolicy(Microseconds(30));
+      return gs::MakePolicy({.kind = "shinjuku", .timeslice_us = 30}, PolicyEnv{});
     case 5:
       return std::make_unique<SearchPolicy>();
     default:
@@ -62,7 +62,8 @@ class ChaosTest : public ::testing::TestWithParam<ChaosParams> {};
 TEST_P(ChaosTest, InvariantsHoldUnderRandomOperations) {
   const ChaosParams params = GetParam();
   Rng rng(params.seed);
-  Machine m(Topology::Make("chaos", 2, 4, 2, 2));  // 16 CPUs, 2 sockets, CCXs
+  // 16 CPUs, 2 sockets, CCXs.
+  SimulationContext m({.topology = Topology::Make("chaos", 2, 4, 2, 2)});
   auto enclave = m.CreateEnclave(m.kernel().topology().AllCpus());
   // Held through a shared handle so the upgrade chaos op can swap in a
   // replacement process mid-run (§3.4).

@@ -5,8 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include "src/ghost/machine.h"
 #include "src/ghost/message_queue.h"
+#include "src/sim/simulation.h"
 #include "tests/test_util.h"
 
 namespace gs {
@@ -19,7 +19,8 @@ Topology SmallTopo(int cores, int smt = 1) {
 class GhostTest : public ::testing::Test {
  protected:
   void Build(int cores, Enclave::Config config = Enclave::Config()) {
-    machine_ = std::make_unique<Machine>(SmallTopo(cores));
+    machine_ = std::make_unique<SimulationContext>(
+        SimulationContext::Options{.topology = SmallTopo(cores)});
     enclave_ = machine_->CreateEnclave(CpuMask::AllUpTo(cores), config);
   }
 
@@ -52,7 +53,7 @@ class GhostTest : public ::testing::Test {
     return out;
   }
 
-  std::unique_ptr<Machine> machine_;
+  std::unique_ptr<SimulationContext> machine_;
   std::unique_ptr<Enclave> enclave_;
 };
 
@@ -117,7 +118,8 @@ TEST_F(GhostTest, UnknownTidInvalid) {
 }
 
 TEST_F(GhostTest, CpuOutsideEnclaveInvalid) {
-  machine_ = std::make_unique<Machine>(SmallTopo(4));
+  machine_ = std::make_unique<SimulationContext>(
+      SimulationContext::Options{.topology = SmallTopo(4)});
   enclave_ = machine_->CreateEnclave(CpuMask::Single(0) | CpuMask::Single(1));
   Task* task = machine_->kernel().CreateTask("w");
   enclave_->AddTask(task);

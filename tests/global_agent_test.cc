@@ -5,7 +5,7 @@
 
 #include "src/agent/agent_process.h"
 #include "src/agent/sdk/global_agent.h"
-#include "src/ghost/machine.h"
+#include "src/sim/simulation.h"
 
 namespace gs {
 namespace {
@@ -34,7 +34,7 @@ class ProbePolicy : public GlobalAgentPolicy {
 };
 
 TEST(GlobalAgentPolicyTest, InactiveAgentBlocksAndLeavesMessagesQueued) {
-  Machine m(Topology::Make("t", 1, 2, 1, 2));
+  SimulationContext m({.topology = Topology::Make("t", 1, 2, 1, 2)});
   auto enclave = m.CreateEnclave(CpuMask::AllUpTo(2));
   auto policy = std::make_unique<ProbePolicy>(/*hot_handoff=*/false, AgentAction::kBlock);
   ProbePolicy* probe = policy.get();
@@ -60,7 +60,7 @@ TEST(GlobalAgentPolicyTest, InactiveAgentBlocksAndLeavesMessagesQueued) {
 }
 
 TEST(GlobalAgentPolicyTest, HandoffYieldsBeforeDrainingAndSuccessorDrains) {
-  Machine m(Topology::Make("t", 1, 4, 1, 4));
+  SimulationContext m({.topology = Topology::Make("t", 1, 4, 1, 4)});
   auto enclave = m.CreateEnclave(CpuMask::AllUpTo(4));
   auto policy = std::make_unique<ProbePolicy>(/*hot_handoff=*/true, AgentAction::kPollWait);
   ProbePolicy* probe = policy.get();

@@ -5,9 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "src/agent/agent_process.h"
-#include "src/ghost/machine.h"
 #include "src/policies/centralized_fifo.h"
 #include "src/policies/predictive_shinjuku.h"
+#include "src/sim/simulation.h"
 #include "tests/test_util.h"
 
 namespace gs {
@@ -27,7 +27,7 @@ std::unique_ptr<GlobalAgentPolicy> MakeHandoffPolicy(const std::string& kind) {
 
 class HotHandoffTest : public ::testing::TestWithParam<std::string> {};
 
-Task* GhostWorker(Machine& m, Enclave& enclave, const std::string& name, Duration burst,
+Task* GhostWorker(SimulationContext& m, Enclave& enclave, const std::string& name, Duration burst,
                   int repeats) {
   Task* t = m.kernel().CreateTask(name);
   enclave.AddTask(t);
@@ -52,7 +52,7 @@ Task* GhostWorker(Machine& m, Enclave& enclave, const std::string& name, Duratio
 }
 
 TEST_P(HotHandoffTest, PinnedCfsThreadEvictsGlobalAgent) {
-  Machine m(Topology::Make("t", 1, 4, 1, 4));
+  SimulationContext m({.topology = Topology::Make("t", 1, 4, 1, 4)});
   auto enclave = m.CreateEnclave(CpuMask::AllUpTo(4));
   auto policy = MakeHandoffPolicy(GetParam());
   GlobalAgentPolicy* policy_ptr = policy.get();
@@ -91,7 +91,7 @@ TEST_P(HotHandoffTest, PinnedCfsThreadEvictsGlobalAgent) {
 TEST_P(HotHandoffTest, NoIdleCpuMeansNoHandoff) {
   // Single-CPU enclave: nowhere to hand off to; the agent keeps scheduling
   // and the pinned CFS thread waits, as on a fully busy machine.
-  Machine m(Topology::Make("t", 1, 2, 1, 2));
+  SimulationContext m({.topology = Topology::Make("t", 1, 2, 1, 2)});
   auto enclave = m.CreateEnclave(CpuMask::Single(0));
   auto policy = MakeHandoffPolicy(GetParam());
   GlobalAgentPolicy* policy_ptr = policy.get();
@@ -116,7 +116,7 @@ TEST(HotHandoffTest, AgentUpgradeResetsWatchdogClock) {
   // freshly registered agent inherits threads that may have been runnable
   // through the whole upgrade window; without restarting the measurement the
   // watchdog destroys the enclave before the new agent had any chance.
-  Machine m(Topology::Make("t", 1, 2, 1, 2));
+  SimulationContext m({.topology = Topology::Make("t", 1, 2, 1, 2)});
   Enclave::Config config;
   config.watchdog_timeout = Milliseconds(5);
   config.watchdog_period = Milliseconds(1);

@@ -6,15 +6,15 @@
 #include "src/agent/agent_process.h"
 
 #include "src/base/rng.h"
-#include "src/ghost/machine.h"
 #include "src/policies/centralized_fifo.h"
 #include "src/policies/per_cpu_fifo.h"
+#include "src/sim/simulation.h"
 #include "tests/test_util.h"
 
 namespace gs {
 namespace {
 
-Task* BurstyWorker(Machine& m, Enclave& enclave, const std::string& name, Duration burst,
+Task* BurstyWorker(SimulationContext& m, Enclave& enclave, const std::string& name, Duration burst,
                    Duration gap, int repeats) {
   Task* t = m.kernel().CreateTask(name);
   enclave.AddTask(t);
@@ -41,7 +41,7 @@ Task* BurstyWorker(Machine& m, Enclave& enclave, const std::string& name, Durati
 TEST(MultiEnclaveTest, TwoEnclavesRunIndependentPolicies) {
   // Fig 2's split: one enclave per half of the machine, per-CPU FIFO on one,
   // centralized on the other.
-  Machine m(Topology::Make("t", 1, 8, 1, 8));
+  SimulationContext m({.topology = Topology::Make("t", 1, 8, 1, 8)});
   auto left = m.CreateEnclave(CpuMask::AllUpTo(4));
   CpuMask right_cpus;
   for (int cpu = 4; cpu < 8; ++cpu) {
@@ -77,7 +77,7 @@ TEST(MultiEnclaveTest, TwoEnclavesRunIndependentPolicies) {
 }
 
 TEST(MultiEnclaveTest, DestroyingOneEnclaveLeavesTheOtherIntact) {
-  Machine m(Topology::Make("t", 1, 8, 1, 8));
+  SimulationContext m({.topology = Topology::Make("t", 1, 8, 1, 8)});
   auto left = m.CreateEnclave(CpuMask::AllUpTo(4));
   CpuMask right_cpus;
   for (int cpu = 4; cpu < 8; ++cpu) {
@@ -107,7 +107,7 @@ TEST(MultiEnclaveTest, DestroyingOneEnclaveLeavesTheOtherIntact) {
 }
 
 TEST(CoexistenceTest, CfsMicroQuantaAndGhostShareTheMachine) {
-  Machine m(Topology::Make("t", 1, 2, 1, 2));
+  SimulationContext m({.topology = Topology::Make("t", 1, 2, 1, 2)});
   auto enclave = m.CreateEnclave(CpuMask::AllUpTo(2));
   AgentProcess agents(&m.kernel(), m.ghost_class(), enclave.get(),
                       std::make_unique<CentralizedFifoPolicy>());
@@ -130,7 +130,7 @@ TEST(CoexistenceTest, CfsMicroQuantaAndGhostShareTheMachine) {
 }
 
 TEST(FastPathIntegrationTest, PolicyPublishesAndIdleCpusConsume) {
-  Machine m(Topology::Make("t", 1, 4, 1, 4));
+  SimulationContext m({.topology = Topology::Make("t", 1, 4, 1, 4)});
   auto enclave = m.CreateEnclave(CpuMask::AllUpTo(4));
   CentralizedFifoPolicy::Options options;
   options.global_cpu = 0;
@@ -157,7 +157,7 @@ class DeterminismTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(DeterminismTest, IdenticalSeedsIdenticalTraces) {
   auto run = [&] {
-    Machine m(Topology::Make("t", 1, 4, 2, 4));
+    SimulationContext m({.topology = Topology::Make("t", 1, 4, 2, 4)});
     auto enclave = m.CreateEnclave(m.kernel().topology().AllCpus());
     std::unique_ptr<Policy> policy;
     if (GetParam() == 0) {
@@ -197,7 +197,7 @@ class ConservationTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ConservationTest, EveryBurstCompletesExactly) {
   const int num_tasks = GetParam();
-  Machine m(Topology::Make("t", 1, 4, 2, 4));
+  SimulationContext m({.topology = Topology::Make("t", 1, 4, 2, 4)});
   auto enclave = m.CreateEnclave(m.kernel().topology().AllCpus());
   AgentProcess agents(&m.kernel(), m.ghost_class(), enclave.get(),
                       std::make_unique<CentralizedFifoPolicy>());

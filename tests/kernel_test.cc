@@ -2,7 +2,7 @@
 // factors, MicroQuanta throttling, accounting exactness, determinism.
 #include <gtest/gtest.h>
 
-#include "src/ghost/machine.h"
+#include "src/sim/simulation.h"
 #include "tests/test_util.h"
 
 namespace gs {
@@ -13,7 +13,7 @@ Topology SmallTopo(int cores, int smt = 1) {
 }
 
 TEST(KernelTest, OneShotTaskRunsAndExits) {
-  Machine m(SmallTopo(1));
+  SimulationContext m({.topology = SmallTopo(1)});
   Task* task = SpawnOneShot(m.kernel(), "t", Microseconds(10));
   m.RunFor(Milliseconds(1));
   EXPECT_EQ(task->state(), TaskState::kDead);
@@ -21,7 +21,7 @@ TEST(KernelTest, OneShotTaskRunsAndExits) {
 }
 
 TEST(KernelTest, ContextSwitchCostDelaysCompletion) {
-  Machine m(SmallTopo(1));
+  SimulationContext m({.topology = SmallTopo(1)});
   Time done_at = 0;
   Task* task = m.kernel().CreateTask("t");
   m.kernel().StartBurst(task, Microseconds(10), [&](Task* t) {
@@ -35,7 +35,7 @@ TEST(KernelTest, ContextSwitchCostDelaysCompletion) {
 }
 
 TEST(KernelTest, TwoHogsShareOneCpuFairly) {
-  Machine m(SmallTopo(1));
+  SimulationContext m({.topology = SmallTopo(1)});
   Task* a = SpawnHog(m.kernel(), "a");
   Task* b = SpawnHog(m.kernel(), "b");
   m.RunFor(Milliseconds(200));
@@ -47,7 +47,7 @@ TEST(KernelTest, TwoHogsShareOneCpuFairly) {
 }
 
 TEST(KernelTest, NiceWeightsSkewCpuShare) {
-  Machine m(SmallTopo(1));
+  SimulationContext m({.topology = SmallTopo(1)});
   Task* fav = m.kernel().CreateTask("fav");
   m.kernel().SetNice(fav, -5);
   Task* meh = m.kernel().CreateTask("meh");
@@ -67,7 +67,7 @@ TEST(KernelTest, NiceWeightsSkewCpuShare) {
 }
 
 TEST(KernelTest, WakePlacementSpreadsAcrossIdleCpus) {
-  Machine m(SmallTopo(4));
+  SimulationContext m({.topology = SmallTopo(4)});
   std::vector<Task*> hogs;
   for (int i = 0; i < 4; ++i) {
     hogs.push_back(SpawnHog(m.kernel(), "h" + std::to_string(i)));
@@ -80,7 +80,7 @@ TEST(KernelTest, WakePlacementSpreadsAcrossIdleCpus) {
 }
 
 TEST(KernelTest, IdleBalancePullsQueuedWork) {
-  Machine m(SmallTopo(2));
+  SimulationContext m({.topology = SmallTopo(2)});
   // Pin three hogs to CPU 0 initially via affinity, then open the mask: the
   // idle CPU 1 should pull.
   std::vector<Task*> hogs;
@@ -105,7 +105,7 @@ TEST(KernelTest, IdleBalancePullsQueuedWork) {
 }
 
 TEST(KernelTest, BlockedTaskResumesOnWake) {
-  Machine m(SmallTopo(1));
+  SimulationContext m({.topology = SmallTopo(1)});
   Task* task = m.kernel().CreateTask("sleeper");
   int phases = 0;
   m.kernel().StartBurst(task, Microseconds(5), [&](Task* t) {
@@ -129,7 +129,7 @@ TEST(KernelTest, BlockedTaskResumesOnWake) {
 }
 
 TEST(KernelTest, SmtContentionSlowsBothSiblings) {
-  Machine m(SmallTopo(1, /*smt=*/2));  // one core, two hyperthreads
+  SimulationContext m({.topology = SmallTopo(1, 2)});  // one core, two hyperthreads
   Time a_done = 0, b_done = 0;
   Task* a = m.kernel().CreateTask("a");
   Task* b = m.kernel().CreateTask("b");
@@ -153,7 +153,7 @@ TEST(KernelTest, SmtContentionSlowsBothSiblings) {
 }
 
 TEST(KernelTest, SmtSpeedRecoversWhenSiblingIdles) {
-  Machine m(SmallTopo(1, /*smt=*/2));
+  SimulationContext m({.topology = SmallTopo(1, 2)});
   Time a_done = 0;
   Task* a = m.kernel().CreateTask("a");
   m.kernel().StartBurst(a, Microseconds(100), [&](Task* t) {
@@ -172,7 +172,7 @@ TEST(KernelTest, SmtSpeedRecoversWhenSiblingIdles) {
 }
 
 TEST(KernelTest, MicroQuantaThrottlingLeavesBlackouts) {
-  Machine m(SmallTopo(1));
+  SimulationContext m({.topology = SmallTopo(1)});
   Task* mq = SpawnHog(m.kernel(), "mq", m.mq_class(), Milliseconds(100));
   Task* cfs = SpawnHog(m.kernel(), "cfs", nullptr, Milliseconds(100));
   m.RunFor(Milliseconds(100));
@@ -183,7 +183,7 @@ TEST(KernelTest, MicroQuantaThrottlingLeavesBlackouts) {
 }
 
 TEST(KernelTest, MicroQuantaPreemptsCfsImmediately) {
-  Machine m(SmallTopo(1));
+  SimulationContext m({.topology = SmallTopo(1)});
   SpawnHog(m.kernel(), "cfs");
   m.RunFor(Milliseconds(5));
   Time woke = m.now();
@@ -201,7 +201,7 @@ TEST(KernelTest, MicroQuantaPreemptsCfsImmediately) {
 }
 
 TEST(KernelTest, AffinityPinsTask) {
-  Machine m(SmallTopo(4));
+  SimulationContext m({.topology = SmallTopo(4)});
   Task* pinned = SpawnHog(m.kernel(), "pinned", nullptr, Microseconds(100));
   m.kernel().SetAffinity(pinned, CpuMask::Single(2));
   m.RunFor(Milliseconds(20));
@@ -211,7 +211,7 @@ TEST(KernelTest, AffinityPinsTask) {
 }
 
 TEST(KernelTest, PreemptionPreservesProgressAccounting) {
-  Machine m(SmallTopo(1));
+  SimulationContext m({.topology = SmallTopo(1)});
   Time done = 0;
   Task* victim = m.kernel().CreateTask("victim");
   m.kernel().StartBurst(victim, Microseconds(100), [&](Task* t) {
@@ -233,7 +233,7 @@ TEST(KernelTest, PreemptionPreservesProgressAccounting) {
 
 TEST(KernelTest, DeterministicAcrossRuns) {
   auto run = [] {
-    Machine m(SmallTopo(4, 2));
+    SimulationContext m({.topology = SmallTopo(4, 2)});
     std::vector<Task*> tasks;
     for (int i = 0; i < 16; ++i) {
       tasks.push_back(SpawnHog(m.kernel(), "h" + std::to_string(i), nullptr,
@@ -251,7 +251,7 @@ TEST(KernelTest, DeterministicAcrossRuns) {
 }
 
 TEST(KernelTest, KillRunnableAndBlockedTasks) {
-  Machine m(SmallTopo(1));
+  SimulationContext m({.topology = SmallTopo(1)});
   Task* hog = SpawnHog(m.kernel(), "hog");
   Task* queued = SpawnHog(m.kernel(), "queued");
   m.RunFor(Milliseconds(1));
@@ -270,7 +270,7 @@ TEST(KernelTest, BlockRewakeInDeschedWindowIsFreshPlacement) {
   // schedule() — it must be treated as freshly placed, so its on-scheduled
   // hook fires again. (The broken resume path silently swallowed the hook,
   // which wedged a blocked-then-instantly-rewoken agent forever.)
-  Machine m(SmallTopo(1));
+  SimulationContext m({.topology = SmallTopo(1)});
   Task* task = m.kernel().CreateTask("t");
   int scheduled = 0;
   m.kernel().SetOnScheduled(task, [&](Task*) { ++scheduled; });
@@ -298,7 +298,7 @@ TEST(KernelTest, ZeroLengthBurstSurvivesSameInstantPreemption) {
   // completion. Re-placement must re-arm it — has_burst() is false for a
   // zero-length burst, so without has_pending_burst_done() the completion
   // callback is lost and the task wedges forever.
-  Machine m(SmallTopo(1));
+  SimulationContext m({.topology = SmallTopo(1)});
   Task* task = m.kernel().CreateTask("t");
   m.kernel().StartBurst(task, Microseconds(10), [&m](Task* t) {
     m.kernel().Block(t);
@@ -313,7 +313,7 @@ TEST(KernelTest, ZeroLengthBurstSurvivesSameInstantPreemption) {
 }
 
 TEST(KernelTest, BusyTimeAccounting) {
-  Machine m(SmallTopo(2));
+  SimulationContext m({.topology = SmallTopo(2)});
   SpawnOneShot(m.kernel(), "t", Milliseconds(3));
   m.RunFor(Milliseconds(10));
   const Duration busy = m.kernel().CpuBusyTime(0) + m.kernel().CpuBusyTime(1);

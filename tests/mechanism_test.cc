@@ -4,9 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "src/agent/agent_process.h"
-#include "src/ghost/machine.h"
 #include "src/policies/centralized_fifo.h"
 #include "src/policies/per_cpu_fifo.h"
+#include "src/sim/simulation.h"
 #include "tests/test_util.h"
 
 namespace gs {
@@ -58,7 +58,7 @@ class CostLedgerPolicy : public Policy {
 };
 
 TEST(AgentContextTest, CostLedgerMatchesCostModel) {
-  Machine m(Topology::Make("t", 1, 2, 1, 2));
+  SimulationContext m({.topology = Topology::Make("t", 1, 2, 1, 2)});
   auto enclave = m.CreateEnclave(CpuMask::AllUpTo(2));
   auto policy = std::make_unique<CostLedgerPolicy>();
   CostLedgerPolicy* ptr = policy.get();
@@ -71,7 +71,7 @@ TEST(AgentContextTest, CostLedgerMatchesCostModel) {
 // --- Enclave API edges ---------------------------------------------------------------
 
 TEST(EnclaveEdgeTest, RemoveTaskReturnsThreadToCfs) {
-  Machine m(Topology::Make("t", 1, 2, 1, 2));
+  SimulationContext m({.topology = Topology::Make("t", 1, 2, 1, 2)});
   auto enclave = m.CreateEnclave(CpuMask::AllUpTo(2));
   Task* t = m.kernel().CreateTask("w");
   enclave->AddTask(t);
@@ -87,7 +87,7 @@ TEST(EnclaveEdgeTest, RemoveTaskReturnsThreadToCfs) {
 }
 
 TEST(EnclaveEdgeTest, DestroyQueueReroutesTickQueue) {
-  Machine m(Topology::Make("t", 1, 2, 1, 2));
+  SimulationContext m({.topology = Topology::Make("t", 1, 2, 1, 2)});
   auto enclave = m.CreateEnclave(CpuMask::AllUpTo(2));
   MessageQueue* q = enclave->CreateQueue();
   enclave->SetCpuQueue(0, q);
@@ -114,7 +114,7 @@ TEST(EnclaveEdgeTest, DestroyQueueReroutesTickQueue) {
 }
 
 TEST(EnclaveEdgeTest, SchedLatencyHistogramRecordsDispatches) {
-  Machine m(Topology::Make("t", 1, 2, 1, 2));
+  SimulationContext m({.topology = Topology::Make("t", 1, 2, 1, 2)});
   auto enclave = m.CreateEnclave(CpuMask::AllUpTo(2));
   AgentProcess process(&m.kernel(), m.ghost_class(), enclave.get(),
                        std::make_unique<PerCpuFifoPolicy>());
@@ -132,7 +132,7 @@ TEST(EnclaveEdgeTest, SchedLatencyHistogramRecordsDispatches) {
 }
 
 TEST(EnclaveEdgeTest, AddTaskTwiceIsFatalButRemoveAddWorks) {
-  Machine m(Topology::Make("t", 1, 2, 1, 2));
+  SimulationContext m({.topology = Topology::Make("t", 1, 2, 1, 2)});
   auto enclave = m.CreateEnclave(CpuMask::AllUpTo(2));
   Task* t = m.kernel().CreateTask("w");
   enclave->AddTask(t);
@@ -154,7 +154,8 @@ class ShapeSweepTest : public ::testing::TestWithParam<Shape> {};
 
 TEST_P(ShapeSweepTest, CentralizedPolicyConservesWorkOnAnyTopology) {
   const Shape shape = GetParam();
-  Machine m(Topology::Make("shape", shape.sockets, shape.cores, shape.smt, shape.ccx));
+  SimulationContext m(
+      {.topology = Topology::Make("shape", shape.sockets, shape.cores, shape.smt, shape.ccx)});
   auto enclave = m.CreateEnclave(m.kernel().topology().AllCpus());
   AgentProcess process(&m.kernel(), m.ghost_class(), enclave.get(),
                        std::make_unique<CentralizedFifoPolicy>());

@@ -2,7 +2,7 @@
 // window semantics, blackout length, and interaction with blocking workers.
 #include <gtest/gtest.h>
 
-#include "src/ghost/machine.h"
+#include "src/sim/simulation.h"
 #include "tests/test_util.h"
 
 namespace gs {
@@ -17,10 +17,10 @@ class MqBudgetTest : public ::testing::TestWithParam<MqParams> {};
 
 TEST_P(MqBudgetTest, HogGetsExactlyItsBudgetShare) {
   const MqParams params = GetParam();
-  Machine m(Topology::Make("t", 1, 1, 1, 1), CostModel());
   // Need a custom-parameterized class: build a bespoke machine stack.
   EventLoop loop;
-  Kernel kernel(&loop, Topology::Make("t", 1, 1, 1, 1));
+  StatsRegistry stats;
+  Kernel kernel(&loop, Topology::Make("t", 1, 1, 1, 1), CostModel(), &stats);
   auto agent = std::make_unique<AgentClass>();
   auto mq = std::make_unique<MicroQuantaClass>(
       MicroQuantaClass::Params{params.period, params.quanta});
@@ -58,7 +58,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(MicroQuantaTest, BlackoutBoundedByPeriodMinusQuanta) {
   // Measure the longest continuous interval the MQ hog is off-CPU while
   // runnable: it must be ~period - quanta (the §4.3 "networking blackout").
-  Machine m(Topology::Make("t", 1, 1, 1, 1));
+  SimulationContext m({.topology = Topology::Make("t", 1, 1, 1, 1)});
   m.kernel().trace().Enable();
   Task* hog = SpawnHog(m.kernel(), "mq", m.mq_class(), Milliseconds(50));
   SpawnHog(m.kernel(), "cfs", nullptr, Milliseconds(50));
@@ -81,7 +81,7 @@ TEST(MicroQuantaTest, BlackoutBoundedByPeriodMinusQuanta) {
 TEST(MicroQuantaTest, BlockingWorkerUnaffectedByBudgetAtLowUtilization) {
   // A worker that needs only 10% CPU never hits its quanta: its wakeup
   // latency stays flat (no blackouts at low utilization).
-  Machine m(Topology::Make("t", 1, 1, 1, 1));
+  SimulationContext m({.topology = Topology::Make("t", 1, 1, 1, 1)});
   Task* worker = m.kernel().CreateTask("worker", m.mq_class());
   auto max_latency = std::make_shared<Duration>(0);
   Kernel* kernel = &m.kernel();

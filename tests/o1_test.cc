@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "src/ghost/machine.h"
 #include "src/sim/batch_runner.h"
+#include "src/sim/simulation.h"
 #include "src/sim/simulation.h"
 #include "src/verify/invariants.h"
 #include "tests/test_util.h"
@@ -46,8 +46,8 @@ class O1PolicyTest : public ::testing::Test {
   // An O1 enclave over `num_cpus` CPUs; `prio_map` routes tids to priority
   // levels (tasks are registered in the map before entering the enclave).
   void Build(int num_cpus) {
-    machine_ = std::make_unique<Machine>(
-        Topology::Make("o1t", 1, num_cpus, 1, num_cpus), CostModel());
+    machine_ = std::make_unique<SimulationContext>(
+        SimulationContext::Options{.topology = Topology::Make("o1t", 1, num_cpus, 1, num_cpus)});
     enclave_ = machine_->CreateEnclave(CpuMask::AllUpTo(num_cpus));
     prio_map_ = std::make_shared<std::map<int64_t, int>>();
     O1Policy::Options options;
@@ -82,7 +82,7 @@ class O1PolicyTest : public ::testing::Test {
     return task;
   }
 
-  std::unique_ptr<Machine> machine_;
+  std::unique_ptr<SimulationContext> machine_;
   std::unique_ptr<Enclave> enclave_;
   std::shared_ptr<std::map<int64_t, int>> prio_map_;
   O1Policy* policy_ = nullptr;

@@ -1,13 +1,18 @@
-// Tests for the agent-side library (task table, runqueues) and the Search /
-// Shinjuku policies' behaviours.
+// Tests for the agent-side library (task table, runqueues), the Search
+// policy's behaviours, and the policy factory.
 #include <gtest/gtest.h>
+
+#include <map>
+#include <string>
+#include <string_view>
 
 #include "src/agent/agent_process.h"
 #include "src/agent/sdk/runqueue.h"
 #include "src/agent/task_table.h"
-#include "src/ghost/machine.h"
+#include "src/policies/centralized_fifo.h"
+#include "src/policies/factory.h"
 #include "src/policies/search.h"
-#include "src/policies/shinjuku.h"
+#include "src/sim/simulation.h"
 #include "tests/test_util.h"
 
 namespace gs {
@@ -113,8 +118,9 @@ TEST(MinRunqueueTest, OrdersByKeyThenTid) {
 class SearchPolicyTest : public ::testing::Test {
  protected:
   void Build() {
-    machine_ = std::make_unique<Machine>(Topology::AmdRome256(),
-                                         CostModel().WithCacheWarmth());
+    machine_ = std::make_unique<SimulationContext>(
+        SimulationContext::Options{.topology = Topology::AmdRome256(),
+                                   .cost = CostModel().WithCacheWarmth()});
     enclave_ = machine_->CreateEnclave(machine_->kernel().topology().AllCpus());
     SearchPolicy::Options options;
     options.global_cpu = 0;
@@ -147,7 +153,7 @@ class SearchPolicyTest : public ::testing::Test {
     return t;
   }
 
-  std::unique_ptr<Machine> machine_;
+  std::unique_ptr<SimulationContext> machine_;
   std::unique_ptr<Enclave> enclave_;
   std::unique_ptr<AgentProcess> process_;
 };
@@ -195,15 +201,60 @@ TEST_F(SearchPolicyTest, MinRuntimeOrderFavoursFreshThreads) {
   (void)veteran;
 }
 
-// --- Shinjuku policy factories ------------------------------------------------------------
+// --- Policy factory -----------------------------------------------------------------------
 
 TEST(ShinjukuFactoryTest, PoliciesCarryOptions) {
-  auto shinjuku = MakeShinjukuPolicy(Microseconds(30));
-  EXPECT_STREQ(shinjuku->name(), "centralized-fifo");
-  auto shenango = MakeShinjukuShenangoPolicy(Microseconds(30), [](int64_t) { return 1; });
-  auto snap = MakeSnapPolicy([](int64_t) { return 0; });
-  EXPECT_NE(shenango, nullptr);
-  EXPECT_NE(snap, nullptr);
+  PolicyEnv env;
+  env.tier_of = [](int64_t tid) { return tid == 7 ? 1 : 0; };
+  env.cookie_of = [](int64_t tid) { return tid; };
+  PolicyConfig config;
+  config.timeslice_us = 40;
+  config.probe_interval_us = 20;
+  // The kind list drives both the scenario parser and the factory table, so
+  // every kind but "cfs" must build, and land on the policy its name says.
+  const std::map<std::string, std::string> policy_of = {
+      {"centralized_fifo", "centralized-fifo"},
+      {"shinjuku", "centralized-fifo"},
+      {"shinjuku_shenango", "centralized-fifo"},
+      {"snap", "centralized-fifo"},
+      {"per_cpu_fifo", "per-cpu-fifo"},
+      {"o1", "o1-mlq"},
+      {"search", "search"},
+      {"predictive_shinjuku", "predictive-shinjuku"},
+      {"predictive_search", "predictive-search"},
+      {"vm_core_sched", "vm-core-sched"},
+      {"ab_test", "ab-test"}};
+  for (const char* kind : kPolicyKinds) {
+    if (std::string_view(kind) == "cfs") {
+      continue;
+    }
+    config.kind = kind;
+    std::unique_ptr<Policy> policy = MakePolicy(config, env);
+    ASSERT_NE(policy, nullptr) << kind;
+    EXPECT_EQ(policy->name(), policy_of.at(kind)) << kind;
+  }
+
+  // The paper's §4.2-4.3 policies are settings of the centralized model.
+  const auto centralized = [&](const char* kind) {
+    config.kind = kind;
+    std::unique_ptr<Policy> policy = MakePolicy(config, env);
+    auto* fifo = dynamic_cast<CentralizedFifoPolicy*>(policy.get());
+    EXPECT_NE(fifo, nullptr) << kind;
+    return fifo != nullptr ? fifo->options() : CentralizedFifoPolicy::Options();
+  };
+  const CentralizedFifoPolicy::Options shinjuku = centralized("shinjuku");
+  EXPECT_EQ(shinjuku.preemption_timeslice, Microseconds(40));
+  EXPECT_EQ(shinjuku.probe_interval, Microseconds(20));
+  EXPECT_EQ(shinjuku.tier_of(7), 0) << "plain Shinjuku has no batch tier";
+  const CentralizedFifoPolicy::Options shenango = centralized("shinjuku_shenango");
+  EXPECT_EQ(shenango.preemption_timeslice, Microseconds(40));
+  EXPECT_EQ(shenango.probe_interval, Microseconds(20));
+  EXPECT_EQ(shenango.tier_of(7), 1);
+  EXPECT_EQ(shenango.tier_of(8), 0);
+  const CentralizedFifoPolicy::Options snap = centralized("snap");
+  EXPECT_EQ(snap.preemption_timeslice, 0) << "Snap workers run to completion";
+  EXPECT_EQ(snap.probe_interval, 0);
+  EXPECT_EQ(snap.tier_of(7), 1);
 }
 
 }  // namespace

@@ -13,10 +13,10 @@
 #include <vector>
 
 #include "src/agent/agent_process.h"
-#include "src/ghost/machine.h"
 #include "src/policies/centralized_fifo.h"
 #include "src/policies/per_cpu_fifo.h"
 #include "src/sim/fault_injector.h"
+#include "src/sim/simulation.h"
 #include "tests/test_util.h"
 
 namespace gs {
@@ -35,7 +35,7 @@ std::unique_ptr<Policy> MakePolicy(int kind) {
 // overflow pressure) sampled from `seed`, plus a scheduled transient agent
 // stall. Returns {digest, events recorded}.
 std::pair<uint64_t, uint64_t> RunScenario(int policy_kind, uint64_t seed) {
-  Machine machine(Topology::Make("replay", 1, 4, 1, 4));
+  SimulationContext machine({.topology = Topology::Make("replay", 1, 4, 1, 4)});
   machine.kernel().trace().Enable();
 
   FaultInjector::Config faults;

@@ -3,7 +3,7 @@
 // and centralized models.
 #include <gtest/gtest.h>
 
-#include "src/ghost/machine.h"
+#include "src/sim/simulation.h"
 #include "tests/test_util.h"
 
 namespace gs {
@@ -12,11 +12,12 @@ namespace {
 class SeqTest : public ::testing::Test {
  protected:
   void Build(int cores) {
-    machine_ = std::make_unique<Machine>(Topology::Make("t", 1, cores, 1, cores));
+    machine_ = std::make_unique<SimulationContext>(
+        SimulationContext::Options{.topology = Topology::Make("t", 1, cores, 1, cores)});
     enclave_ = machine_->CreateEnclave(CpuMask::AllUpTo(cores));
   }
 
-  std::unique_ptr<Machine> machine_;
+  std::unique_ptr<SimulationContext> machine_;
   std::unique_ptr<Enclave> enclave_;
 };
 

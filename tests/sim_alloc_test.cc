@@ -26,10 +26,10 @@
 #include "src/base/flat_map.h"
 #include "src/base/histogram.h"
 #include "src/base/slab.h"
-#include "src/ghost/machine.h"
 #include "src/ghost/message_queue.h"
 #include "src/policies/centralized_fifo.h"
 #include "src/policies/per_cpu_fifo.h"
+#include "src/sim/simulation.h"
 #include "src/stats/stats.h"
 
 namespace {
@@ -51,7 +51,9 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return operator new(size); }
 
-void operator delete(void* p) noexcept {
+// Out of line: inlined into a caller, it lets GCC pair that caller's `new`
+// with this `free` and warn (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept {
   if (p != nullptr) {
     g_frees.fetch_add(1, std::memory_order_relaxed);
     std::free(p);
@@ -213,7 +215,7 @@ void ArmWorkerBurst(Kernel* k, Task* t, Duration burst) {
 }
 
 TEST(SimAllocTest, GhostSteadyStateIsAllocationFree) {
-  Machine m(Topology::Make("t", 1, 8, 1, 8));
+  SimulationContext m({.topology = Topology::Make("t", 1, 8, 1, 8)});
   auto enclave = m.CreateEnclave(CpuMask::AllUpTo(8));
   CentralizedFifoPolicy::Options options;
   options.global_cpu = 0;
@@ -300,12 +302,13 @@ TEST(SimFootprintTest, FleetNodeMachineFitsItsBudget) {
   // alone request 3.25 MB (4 x 8192 x 104 B); the budget covers the slabs'
   // first chunks and the per-CPU tables.
   constexpr uint64_t kBudget = 512 << 10;
-  std::optional<Machine> m;
+  std::optional<SimulationContext> m;
   std::unique_ptr<Enclave> enclave;
   std::optional<AgentProcess> process;
   const uint64_t built = BytesRequestedBy([&] {
-    m.emplace(Topology::Make("fleet_node", /*sockets=*/1, /*cores_per_socket=*/2,
-                             /*smt=*/2, /*cores_per_ccx=*/2));
+    m.emplace(SimulationContext::Options{
+        .topology = Topology::Make("fleet_node", /*sockets=*/1, /*cores_per_socket=*/2,
+                                   /*smt=*/2, /*cores_per_ccx=*/2)});
     CpuMask agent_cpus;
     for (int cpu = 1; cpu <= 3; ++cpu) {
       agent_cpus.Set(cpu);
@@ -316,9 +319,6 @@ TEST(SimFootprintTest, FleetNodeMachineFitsItsBudget) {
     process->Start();
   });
   EXPECT_LE(built, kBudget);
-  // Shutting down agents that were woken but never ran CHECK-fails, so let
-  // them come up before teardown.
-  m->RunFor(Milliseconds(1));
 }
 
 }  // namespace

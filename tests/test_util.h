@@ -4,7 +4,7 @@
 
 #include <functional>
 
-#include "src/ghost/machine.h"
+#include "src/sim/simulation.h"
 
 namespace gs {
 

@@ -2,22 +2,22 @@
 #include <gtest/gtest.h>
 
 #include "src/agent/agent_process.h"
-#include "src/ghost/machine.h"
 #include "src/policies/per_cpu_fifo.h"
+#include "src/sim/simulation.h"
 #include "tests/test_util.h"
 
 namespace gs {
 namespace {
 
 TEST(TraceTest, DisabledByDefault) {
-  Machine m(Topology::Make("t", 1, 2, 1, 2));
+  SimulationContext m({.topology = Topology::Make("t", 1, 2, 1, 2)});
   SpawnOneShot(m.kernel(), "t", Microseconds(10));
   m.RunFor(Milliseconds(1));
   EXPECT_EQ(m.kernel().trace().size(), 0u);
 }
 
 TEST(TraceTest, RecordsTaskLifecycle) {
-  Machine m(Topology::Make("t", 1, 2, 1, 2));
+  SimulationContext m({.topology = Topology::Make("t", 1, 2, 1, 2)});
   m.kernel().trace().Enable();
   Task* t = SpawnOneShot(m.kernel(), "t", Microseconds(10));
   m.RunFor(Milliseconds(1));
@@ -35,7 +35,7 @@ TEST(TraceTest, RecordsTaskLifecycle) {
 }
 
 TEST(TraceTest, RecordsGhostMessagesAndCommits) {
-  Machine m(Topology::Make("t", 1, 2, 1, 2));
+  SimulationContext m({.topology = Topology::Make("t", 1, 2, 1, 2)});
   m.kernel().trace().Enable();
   auto enclave = m.CreateEnclave(CpuMask::AllUpTo(2));
   AgentProcess process(&m.kernel(), m.ghost_class(), enclave.get(),

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "src/agent/agent_process.h"
-#include "src/ghost/machine.h"
 #include "src/policies/work_stealing.h"
+#include "src/sim/simulation.h"
 #include "tests/test_util.h"
 
 namespace gs {
@@ -13,7 +13,8 @@ namespace {
 class WorkStealingTest : public ::testing::Test {
  protected:
   void Build(int cpus) {
-    machine_ = std::make_unique<Machine>(Topology::Make("t", 1, cpus, 1, cpus));
+    machine_ = std::make_unique<SimulationContext>(
+        SimulationContext::Options{.topology = Topology::Make("t", 1, cpus, 1, cpus)});
     enclave_ = machine_->CreateEnclave(CpuMask::AllUpTo(cpus));
     auto policy = std::make_unique<WorkStealingPolicy>();
     policy_ = policy.get();
@@ -45,7 +46,7 @@ class WorkStealingTest : public ::testing::Test {
     return t;
   }
 
-  std::unique_ptr<Machine> machine_;
+  std::unique_ptr<SimulationContext> machine_;
   std::unique_ptr<Enclave> enclave_;
   std::unique_ptr<AgentProcess> process_;
   WorkStealingPolicy* policy_ = nullptr;
