@@ -55,7 +55,8 @@ void CfsClass::Enqueue(int cpu, Task* task) {
   st.queued = true;
   st.rq_cpu = cpu;
   rqs_[cpu].Insert({st.vruntime, task});
-  ++total_queued_;
+  const int depth = QueueDepth(cpu);
+  Redepth(cpu, depth - 1, depth);
 }
 
 void CfsClass::Dequeue(int cpu, Task* task) {
@@ -65,16 +66,38 @@ void CfsClass::Dequeue(int cpu, Task* task) {
   rqs_[cpu].Erase({st.vruntime, task});
   st.queued = false;
   st.rq_cpu = -1;
-  --total_queued_;
+  const int depth = QueueDepth(cpu);
+  Redepth(cpu, depth + 1, depth);
 }
 
-int CfsClass::SelectCpu(Task* task) const {
+void CfsClass::Redepth(int cpu, int from, int to) {
+  if (from > 0) {
+    depth_cpus_[from].Clear(cpu);
+  }
+  if (to > 0) {
+    if (to >= static_cast<int>(depth_cpus_.size())) {
+      depth_cpus_.resize(to + 1);
+    }
+    depth_cpus_[to].Set(cpu);
+  }
+  // Depths move by one, so the maximum rises to `to` or, when `cpu` was the
+  // last runqueue at the maximum, falls to `to`, which `cpu` now occupies.
+  if (to > max_depth_ || (from == max_depth_ && depth_cpus_[from].Empty())) {
+    max_depth_ = to;
+  }
+}
+
+int CfsClass::SelectCpu(const Task* task) const {
   const Topology& topo = kernel_->topology();
   const CpuMask& affinity = task->affinity();
+  const CpuMask& idle = kernel_->idle_cpus();
 
+  // `vacant` leaves the affinity check to its caller.
+  auto vacant = [&](int cpu) {
+    return kernel_->CpuAvailableFor(cpu, this) && rqs_[cpu].queue.empty();
+  };
   auto usable = [&](int cpu) {
-    return cpu >= 0 && cpu < topo.num_cpus() && affinity.IsSet(cpu) &&
-           kernel_->CpuAvailableFor(cpu, this) && rqs_[cpu].queue.empty();
+    return cpu >= 0 && cpu < topo.num_cpus() && affinity.IsSet(cpu) && vacant(cpu);
   };
 
   // select_idle_sibling(): the idle search is scoped to the previous CPU's
@@ -91,18 +114,17 @@ int CfsClass::SelectCpu(Task* task) const {
     if (usable(info.sibling)) {
       return info.sibling;
     }
+    // The first vacant CPU of the LLC domain; failing that, queue on the
+    // least-loaded rq within it (falling back to prev when affinity excludes
+    // the whole domain). One pass finds both.
     const CpuMask llc = topo.CcxMask(info.ccx) & affinity;
-    for (int cpu = llc.First(); cpu >= 0; cpu = llc.NextAfter(cpu)) {
-      if (usable(cpu)) {
-        return cpu;
-      }
-    }
-    // No idle CPU in the LLC domain: queue on the least-loaded rq within it
-    // (falling back to prev when affinity excludes the whole domain).
     int best = -1;
     size_t best_depth = SIZE_MAX;
     for (int cpu = llc.First(); cpu >= 0; cpu = llc.NextAfter(cpu)) {
-      const size_t depth = rqs_[cpu].queue.size() + (kernel_->CpuIdle(cpu) ? 0 : 1);
+      if (vacant(cpu)) {
+        return cpu;
+      }
+      const size_t depth = rqs_[cpu].queue.size() + (idle.IsSet(cpu) ? 0 : 1);
       if (depth < best_depth) {
         best_depth = depth;
         best = cpu;
@@ -120,7 +142,7 @@ int CfsClass::SelectCpu(Task* task) const {
   size_t best_depth = SIZE_MAX;
   for (int cpu = affinity.First(); cpu >= 0 && cpu < topo.num_cpus();
        cpu = affinity.NextAfter(cpu)) {
-    const size_t depth = rqs_[cpu].queue.size() + (kernel_->CpuIdle(cpu) ? 0 : 1);
+    const size_t depth = rqs_[cpu].queue.size() + (idle.IsSet(cpu) ? 0 : 1);
     if (depth < best_depth) {
       best_depth = depth;
       best = cpu;
@@ -221,36 +243,29 @@ Task* CfsClass::PickNext(int cpu) {
   return task;
 }
 
-Task* CfsClass::PullOne(int cpu) {
-  if (total_queued_ == 0) {
-    // Nothing queued anywhere — the common case on a machine whose load runs
-    // under another class. Skip the all-rq scan entirely.
-    return nullptr;
-  }
-  // Find the busiest runqueue with a stealable (affinity-compatible) task.
-  int busiest = -1;
-  size_t busiest_depth = 0;
-  for (int other = 0; other < static_cast<int>(rqs_.size()); ++other) {
-    if (other == cpu) {
-      continue;
-    }
+int CfsClass::PullSource(int cpu) const {
+  // Walk the depth index downward; within a depth, CPUs come lowest first.
+  for (int depth = max_depth_; depth > 0; --depth) {
+    CpuMask busy = depth_cpus_[depth];
     // Don't steal from a queue whose own CPU is about to drain it — that
     // only ping-pongs tasks (e.g. right after an active-balance push).
-    if (kernel_->CpuIdle(other)) {
-      continue;
-    }
-    const size_t depth = rqs_[other].queue.size();
-    if (depth > busiest_depth) {
-      // Check there is at least one task allowed on `cpu`.
+    busy.AndNot(kernel_->idle_cpus());
+    for (int other = busy.First(); other >= 0; other = busy.NextAfter(other)) {
+      if (other == cpu) {
+        continue;
+      }
       for (const auto& [vruntime, task] : rqs_[other].queue) {
         if (task->affinity().IsSet(cpu)) {
-          busiest = other;
-          busiest_depth = depth;
-          break;
+          return other;
         }
       }
     }
   }
+  return -1;
+}
+
+Task* CfsClass::PullOne(int cpu) {
+  const int busiest = PullSource(cpu);
   if (busiest < 0) {
     return nullptr;
   }
@@ -289,16 +304,8 @@ void CfsClass::TaskTick(int cpu, Task* current) {
     rq.ticks_since_balance = 0;
     // Periodic balance: if this CPU is much less loaded than the busiest,
     // pull one task over (ms-scale, like Linux's rebalance_domains()).
-    // total_queued_ bounds max_depth, so a lightly loaded class skips the
-    // all-rq scan.
-    if (total_queued_ >= rq.queue.size() + 2) {
-      size_t max_depth = 0;
-      for (const Rq& other : rqs_) {
-        max_depth = std::max(max_depth, other.queue.size());
-      }
-      if (max_depth >= rq.queue.size() + 2) {
-        PullOne(cpu);
-      }
+    if (max_depth_ >= QueueDepth(cpu) + 2) {
+      PullOne(cpu);
     }
   }
 }

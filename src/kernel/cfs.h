@@ -54,6 +54,16 @@ class CfsClass : public SchedClass {
   // Statistics.
   uint64_t steals() const { return steals_; }
   int QueueDepth(int cpu) const { return static_cast<int>(rqs_[cpu].queue.size()); }
+  // The deepest runqueue's depth (0 when nothing is queued).
+  int MaxQueueDepth() const { return max_depth_; }
+
+  // Picks a CPU for a waking task: previous CPU if available, then outward
+  // through the topology, else the least-loaded allowed runqueue.
+  int SelectCpu(const Task* task) const;
+  // The runqueue an idle pull into `cpu` steals from: the deepest runqueue
+  // of a busy CPU other than `cpu` that holds a task allowed on `cpu`, the
+  // lowest such CPU among equals; -1 if there is none.
+  int PullSource(int cpu) const;
 
   static int64_t NiceToWeight(int nice);
 
@@ -95,12 +105,11 @@ class CfsClass : public SchedClass {
 
   void Enqueue(int cpu, Task* task);
   void Dequeue(int cpu, Task* task);
-  // Picks a CPU for a waking task: previous CPU if available, then outward
-  // through the topology, else the least-loaded allowed runqueue.
-  int SelectCpu(Task* task) const;
+  // Moves `cpu` from depth `from` to depth `to` in the depth index.
+  void Redepth(int cpu, int from, int to);
   // Charges vruntime for runtime accumulated since the task was picked.
   void ChargeVruntime(Task* task, int cpu);
-  // Pulls one stealable task from the most loaded runqueue into `cpu`'s.
+  // Pulls one stealable task from PullSource(cpu) into `cpu`'s runqueue.
   // Returns the pulled task or nullptr.
   Task* PullOne(int cpu);
   // Active balance (migration_cpu_stop): when a whole core idles while
@@ -111,10 +120,14 @@ class CfsClass : public SchedClass {
 
   Params params_;
   std::vector<Rq> rqs_;
-  // Tasks queued across all rqs. Guards the balance scans: an all-idle class
-  // (e.g. fig5's pure-ghOSt regime) used to probe every runqueue + CPU on
-  // every pick; with the counter an empty class answers PickNext in O(1).
-  size_t total_queued_ = 0;
+  // Depth index: depth_cpus_[d] holds the CPUs whose runqueue holds exactly
+  // d tasks (d >= 1; entry 0 stays empty), and max_depth_ is the highest
+  // occupied depth. Enqueue and Dequeue keep both exact, so balancing reads
+  // the busiest runqueues without visiting every CPU's, and a class with
+  // nothing queued (e.g. fig5's pure-ghOSt regime) answers an idle pull in
+  // O(1).
+  std::vector<CpuMask> depth_cpus_;
+  int max_depth_ = 0;
   // Pending active-balance destination per source CPU (-1 = none): the next
   // PutPrev(kPreempted) on that CPU enqueues onto the destination instead.
   std::vector<int> pull_to_;

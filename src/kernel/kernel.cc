@@ -39,6 +39,7 @@ Kernel::Kernel(EventLoop* loop, Topology topology, CostModel cost,
   stat_ticks_ = stats.GetCounter("kernel_tick_total");
   stat_tick_cost_ns_ = stats.GetCounter("kernel_tick_cost_ns_total");
   cpus_.resize(topology_.num_cpus());
+  occupant_priority_.assign(topology_.num_cpus(), kNoOccupant);
   tick_enabled_.assign(topology_.num_cpus(), true);
   ticks_delivered_.assign(topology_.num_cpus(), 0);
   for (int i = 0; i < topology_.num_cpus(); ++i) {
@@ -63,10 +64,12 @@ void Kernel::InstallClasses(std::vector<std::unique_ptr<SchedClass>> classes,
   CHECK(classes_.empty()) << "classes already installed";
   CHECK_GE(default_index, 0);
   CHECK_LT(default_index, static_cast<int>(classes.size()));
+  CHECK_LT(static_cast<int>(classes.size()), kNoOccupant);
   classes_ = std::move(classes);
   default_index_ = default_index;
-  for (auto& cls : classes_) {
-    cls->Attach(this);
+  for (size_t i = 0; i < classes_.size(); ++i) {
+    classes_[i]->priority_index_ = static_cast<int>(i);
+    classes_[i]->Attach(this);
   }
 }
 
@@ -201,6 +204,13 @@ void Kernel::SetSchedClass(Task* task, SchedClass* cls) {
   }
   old->TaskDeparted(task);
   task->set_sched_class(cls);
+  // The cached occupant priority of a CPU running the task, or switching to
+  // it, names the old class until refreshed.
+  for (int cpu : {task->cpu(), task->inbound_cpu()}) {
+    if (cpu >= 0) {
+      RefreshCpuCaches(cpu);
+    }
+  }
   cls->TaskNew(task);
   if (task->state() == TaskState::kRunnable) {
     cls->EnqueueWake(task);
@@ -247,25 +257,6 @@ Duration Kernel::CurrentElapsed(int cpu) const {
 }
 
 CpuMask Kernel::IdleCpus() const { return idle_cpus_; }
-
-int Kernel::ClassIndex(const SchedClass* cls) const {
-  for (size_t i = 0; i < classes_.size(); ++i) {
-    if (classes_[i].get() == cls) {
-      return static_cast<int>(i);
-    }
-  }
-  LOG(FATAL) << "unknown sched class";
-  return -1;
-}
-
-bool Kernel::CpuAvailableFor(int cpu, const SchedClass* cls) const {
-  const CpuState& cs = cpus_[cpu];
-  const Task* occupant = cs.switching ? cs.switching_to : cs.current;
-  if (occupant == nullptr) {
-    return true;
-  }
-  return ClassIndex(occupant->sched_class()) > ClassIndex(cls);
-}
 
 uint64_t Kernel::total_context_switches() const {
   uint64_t total = 0;
@@ -316,7 +307,7 @@ void Kernel::ReschedNow(int cpu) {
     old->set_last_descheduled(now());
     old->set_cpu(-1);
     cs.current = nullptr;
-    RefreshIdleBit(cpu);
+    RefreshCpuCaches(cpu);
     trace_.Record(now(), TraceEventType::kSwitchOut, cpu, old->tid(),
                   static_cast<int64_t>(reason));
     old->sched_class()->PutPrev(old, cpu, reason);
@@ -353,8 +344,8 @@ void Kernel::ReschedNow(int cpu) {
   }
 
   cs.switching = true;
-  RefreshIdleBit(cpu);
   cs.switching_to = next;
+  RefreshCpuCaches(cpu);
   next->set_inbound_cpu(cpu);
   ++cs.context_switches;
   (IsAgent(next) ? stat_switch_agent_ : stat_switch_task_)->Inc();
@@ -367,10 +358,10 @@ void Kernel::ReschedNow(int cpu) {
 void Kernel::FinishSwitch(int cpu) {
   CpuState& cs = cpus_[cpu];
   cs.switching = false;
-  RefreshIdleBit(cpu);
   cs.switch_event = kInvalidEventId;
   Task* next = cs.switching_to;
   cs.switching_to = nullptr;
+  RefreshCpuCaches(cpu);
   CHECK(next != nullptr);
   if (next->inbound_cpu() == cpu) {
     next->set_inbound_cpu(-1);
@@ -391,7 +382,7 @@ void Kernel::FinishSwitch(int cpu) {
 void Kernel::StartRunning(int cpu, Task* task, bool fresh_placement) {
   CpuState& cs = cpus_[cpu];
   cs.current = task;
-  RefreshIdleBit(cpu);
+  RefreshCpuCaches(cpu);
   task->set_state(TaskState::kRunning);
   task->set_cpu(cpu);
   cs.pick_time = now();

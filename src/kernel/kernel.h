@@ -19,6 +19,7 @@
 #ifndef GHOST_SIM_SRC_KERNEL_KERNEL_H_
 #define GHOST_SIM_SRC_KERNEL_KERNEL_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -92,10 +93,23 @@ class Kernel {
   SchedClass* sched_class_at(int priority_index) { return classes_[priority_index].get(); }
   int num_classes() const { return static_cast<int>(classes_.size()); }
   // Priority index of a class (0 = highest). CHECK-fails for foreign classes.
-  int ClassIndex(const SchedClass* cls) const;
+  int ClassIndex(const SchedClass* cls) const {
+    const int index = cls->priority_index_;
+    CHECK(index >= 0 && index < num_classes() && classes_[index].get() == cls)
+        << "unknown sched class";
+    return index;
+  }
   // True if `cpu` is idle or running something of strictly lower priority
   // than `cls` (i.e. a wakeup into `cls` could take the CPU immediately).
-  bool CpuAvailableFor(int cpu, const SchedClass* cls) const;
+  // Wake placement asks this of many CPUs per wakeup, so it reads the cached
+  // occupant priority instead of following the occupant to its class.
+  bool CpuAvailableFor(int cpu, const SchedClass* cls) const {
+    return occupant_priority_[cpu] > ClassIndex(cls);
+  }
+  // Priority index of the class of the task `cpu` runs or is switching to,
+  // or kNoOccupant; a cache of CpuState kept by RefreshCpuCaches.
+  static constexpr int kNoOccupant = 0xff;
+  int occupant_priority(int cpu) const { return occupant_priority_[cpu]; }
 
   // ---- Task lifecycle --------------------------------------------------------
   // Creates a task in `cls` (nullptr => default class). The task starts in
@@ -216,14 +230,19 @@ class Kernel {
   void RerateSibling(int cpu);
   void SetBusy(int cpu, bool busy);
   double WarmthFactor(const Task& task, int cpu) const;
-  // Mirror cpus_[cpu].current/switching into idle_cpus_; must follow every
-  // write to either field.
-  void RefreshIdleBit(int cpu) {
+  // Mirror cpus_[cpu]'s occupant into idle_cpus_ and occupant_priority_;
+  // must follow every write to current, switching or switching_to, and every
+  // class change of the task they point at.
+  void RefreshCpuCaches(int cpu) {
+    const CpuState& cs = cpus_[cpu];
     if (CpuIdle(cpu)) {
       idle_cpus_.Set(cpu);
     } else {
       idle_cpus_.Clear(cpu);
     }
+    const Task* occupant = cs.switching ? cs.switching_to : cs.current;
+    occupant_priority_[cpu] = static_cast<uint8_t>(
+        occupant == nullptr ? kNoOccupant : ClassIndex(occupant->sched_class()));
   }
 
   EventLoop* loop_;
@@ -235,7 +254,8 @@ class Kernel {
   int default_index_ = -1;
 
   std::vector<CpuState> cpus_;
-  CpuMask idle_cpus_;  // bit set iff CpuIdle(cpu); see RefreshIdleBit
+  CpuMask idle_cpus_;  // bit set iff CpuIdle(cpu); see RefreshCpuCaches
+  std::vector<uint8_t> occupant_priority_;  // see occupant_priority()
   // Tasks live in a typed slab (O(1) pooled allocation, pointer-stable,
   // cache-packed); tasks_ is the creation-ordered view.
   Slab<Task> task_slab_;

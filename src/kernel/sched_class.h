@@ -75,6 +75,13 @@ class SchedClass {
 
  protected:
   Kernel* kernel_ = nullptr;
+
+ private:
+  friend class Kernel;
+  // Position in the owning kernel's strict class order (0 = highest), stored
+  // by Kernel::InstallClasses so a priority compare needs no search; -1 until
+  // installed. Kernel::ClassIndex is the checked reader.
+  int priority_index_ = -1;
 };
 
 }  // namespace gs

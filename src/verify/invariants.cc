@@ -120,9 +120,22 @@ void InvariantChecker::CheckOrphanedCpuState() {
 
 void InvariantChecker::CheckCpus() {
   const int num_cpus = kernel_->topology().num_cpus();
-  std::map<const Task*, int> running_on;
   for (int cpu = 0; cpu < num_cpus; ++cpu) {
     const CpuState& cs = kernel_->cpu_state(cpu);
+    // The kernel's per-CPU caches against the CpuState they mirror.
+    const bool idle = kernel_->CpuIdle(cpu);
+    if (kernel_->idle_cpus().IsSet(cpu) != idle) {
+      Violation("cpu " + std::to_string(cpu) +
+                (idle ? " is idle but its idle bit is clear" : " is busy but its idle bit is set"));
+    }
+    const Task* occupant = cs.switching ? cs.switching_to : cs.current;
+    const int priority = occupant == nullptr ? Kernel::kNoOccupant
+                                             : kernel_->ClassIndex(occupant->sched_class());
+    if (kernel_->occupant_priority(cpu) != priority) {
+      Violation("cpu " + std::to_string(cpu) + " cached occupant priority " +
+                std::to_string(kernel_->occupant_priority(cpu)) + " but its occupant's is " +
+                std::to_string(priority));
+    }
     const Task* current = cs.current;
     if (current == nullptr) {
       continue;
@@ -138,10 +151,16 @@ void InvariantChecker::CheckCpus() {
       Violation("cpu " + std::to_string(cpu) + " current '" + current->name() +
                 "' believes it is on cpu " + std::to_string(current->cpu()));
     }
-    auto [it, inserted] = running_on.emplace(current, cpu);
-    if (!inserted) {
+    const auto tid = static_cast<size_t>(current->tid());
+    if (tid >= current_stamps_.size()) {
+      current_stamps_.resize(tid + 1);
+    }
+    CurrentStamp& stamp = current_stamps_[tid];
+    if (stamp.scan == scans_) {
       Violation("task '" + current->name() + "' is current on cpus " +
-                std::to_string(it->second) + " and " + std::to_string(cpu));
+                std::to_string(stamp.cpu) + " and " + std::to_string(cpu));
+    } else {
+      stamp = {scans_, cpu};
     }
   }
   // Every running task is current exactly where it says it runs.

@@ -6,7 +6,8 @@
 //
 //  * CPU/task mutual consistency — a CPU's `current` is kRunning and believes
 //    it is on that CPU; every kRunning task is current (or switching in) on
-//    exactly the CPU it names.
+//    exactly the CPU it names; the kernel's cached idle bit and occupant
+//    priority agree with the CPU's state.
 //  * No lost tasks — every thread in the ghOSt scheduling class is managed by
 //    an enclave; every enclave-managed thread is alive, in the enclave's
 //    class, and its kernel/ghOSt back-pointers agree.
@@ -112,6 +113,13 @@ class InvariantChecker {
   std::vector<std::string> violations_;
   std::set<std::string> seen_;  // dedup: one report per distinct message
 
+  // CheckCpus: per tid, the scan that last found the task current and the
+  // first CPU it was current on in that scan (a second CPU is a violation).
+  struct CurrentStamp {
+    uint64_t scan = 0;
+    int cpu = -1;
+  };
+  std::vector<CurrentStamp> current_stamps_;
   // Tseq monotonicity memory: tid -> {membership generation, last tseq}.
   std::map<int64_t, std::pair<uint64_t, uint32_t>> last_tseq_;
   // Conservation: when each CPU was last observed non-idle.

@@ -2,6 +2,11 @@
 // LLC-scoped wake placement, balancing, and virtual-clock stability.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <vector>
+
+#include "src/base/rng.h"
 #include "src/sim/simulation.h"
 #include "tests/test_util.h"
 
@@ -166,6 +171,238 @@ TEST(CfsBalanceTest, ActiveBalanceRelievesDualBusyCore) {
   EXPECT_NE(m.kernel().topology().cpu(a->cpu()).core,
             m.kernel().topology().cpu(b->cpu()).core)
       << "hogs should spread to separate physical cores";
+}
+
+// --- Depth index vs brute-force scans ---------------------------------------------------
+
+// The index-free reference for the CFS queries: every answer is recomputed
+// from the tasks' own queue state and the kernel's CpuState.
+class CfsReference {
+ public:
+  CfsReference(Kernel& kernel, const SchedClass* cfs)
+      : kernel_(kernel), cfs_(cfs), num_cpus_(kernel.topology().num_cpus()) {}
+
+  void Snapshot() {
+    queued_.assign(num_cpus_, {});
+    for (Task* task : kernel_.tasks()) {
+      if (task->sched_class() == cfs_ && task->cfs().queued) {
+        queued_[task->cfs().rq_cpu].push_back(task);
+      }
+    }
+  }
+  int Depth(int cpu) const { return static_cast<int>(queued_[cpu].size()); }
+  int MaxDepth() const {
+    int max_depth = 0;
+    for (int cpu = 0; cpu < num_cpus_; ++cpu) {
+      max_depth = std::max(max_depth, Depth(cpu));
+    }
+    return max_depth;
+  }
+
+  // A scan of every runqueue in CPU order, keeping each strictly deeper busy
+  // runqueue other than `cpu` that holds a task allowed on `cpu`.
+  int PullSource(int cpu) const {
+    int busiest = -1;
+    int busiest_depth = 0;
+    for (int other = 0; other < num_cpus_; ++other) {
+      if (other == cpu || kernel_.CpuIdle(other) || Depth(other) <= busiest_depth) {
+        continue;
+      }
+      for (const Task* task : queued_[other]) {
+        if (task->affinity().IsSet(cpu)) {
+          busiest = other;
+          busiest_depth = Depth(other);
+          break;
+        }
+      }
+    }
+    return busiest;
+  }
+
+  // SelectCpu's placement rule, on uncached CPU state and in separate passes.
+  int SelectCpu(const Task* task) const {
+    const Topology& topo = kernel_.topology();
+    const CpuMask& affinity = task->affinity();
+    auto usable = [&](int cpu) {
+      return cpu >= 0 && cpu < num_cpus_ && affinity.IsSet(cpu) &&
+             UncachedCpuAvailableFor(kernel_, cpu, cfs_) && Depth(cpu) == 0;
+    };
+    auto least_loaded = [&](auto&& eligible) {
+      int best = -1;
+      for (int cpu = 0; cpu < num_cpus_; ++cpu) {
+        if (eligible(cpu) && (best < 0 || Load(cpu) < Load(best))) {
+          best = cpu;
+        }
+      }
+      return best;
+    };
+    const int prev = task->last_cpu();
+    if (usable(prev)) {
+      return prev;
+    }
+    if (prev >= 0) {
+      const CpuInfo& info = topo.cpu(prev);
+      if (usable(info.sibling)) {
+        return info.sibling;
+      }
+      auto in_llc = [&](int cpu) {
+        return topo.cpu(cpu).ccx == info.ccx && affinity.IsSet(cpu);
+      };
+      for (int cpu = 0; cpu < num_cpus_; ++cpu) {
+        if (in_llc(cpu) && usable(cpu)) {
+          return cpu;
+        }
+      }
+      if (const int best = least_loaded(in_llc); best >= 0) {
+        return best;
+      }
+      if (affinity.IsSet(prev)) {
+        return prev;
+      }
+    }
+    return least_loaded([&](int cpu) { return affinity.IsSet(cpu); });
+  }
+
+ private:
+  int Load(int cpu) const { return Depth(cpu) + (kernel_.CpuIdle(cpu) ? 0 : 1); }
+
+  Kernel& kernel_;
+  const SchedClass* cfs_;
+  const int num_cpus_;
+  std::vector<std::vector<const Task*>> queued_;
+};
+
+TEST(CfsDepthIndexTest, MatchesBruteForceScansOnRome256) {
+  // A seeded mix of wakeups, blocks, yields, nice changes, narrowed
+  // affinities and class changes on 256 CPUs, with MicroQuanta hogs taking
+  // CPUs away from CFS. After every step, the index answers (PullSource,
+  // MaxQueueDepth) and SelectCpu must equal the brute-force scans.
+  SimulationContext m({.topology = Topology::AmdRome256()});
+  Kernel& kernel = m.kernel();
+  CfsClass* cfs = m.cfs_class();
+  const Topology& topo = kernel.topology();
+  const int num_cpus = topo.num_cpus();
+  Rng rng(20211026);
+
+  std::function<void(Task*)> burst_done;
+  auto wake = [&](Task* task) {
+    if (task->state() != TaskState::kBlocked) {
+      return;
+    }
+    if (!task->has_burst()) {
+      kernel.StartBurst(task, Microseconds(rng.NextInRange(20, 400)), burst_done);
+    }
+    kernel.Wake(task);
+  };
+  burst_done = [&](Task* task) {
+    if (rng.NextBernoulli(0.5)) {
+      kernel.Block(task);
+      m.loop().ScheduleAfter(Microseconds(rng.NextInRange(10, 200)),
+                             [&wake, task] { wake(task); });
+    } else {
+      kernel.StartBurst(task, Microseconds(rng.NextInRange(20, 400)), burst_done);
+    }
+  };
+  std::vector<Task*> tasks;
+  for (int i = 0; i < 400; ++i) {
+    Task* task = kernel.CreateTask("w" + std::to_string(i));
+    kernel.StartBurst(task, Microseconds(rng.NextInRange(20, 400)), burst_done);
+    kernel.Wake(task);
+    tasks.push_back(task);
+  }
+  for (int i = 0; i < 8; ++i) {
+    Task* hog = SpawnHog(kernel, "mq" + std::to_string(i), m.mq_class(), Microseconds(300));
+    kernel.SetAffinity(hog, CpuMask::Single(static_cast<int>(rng.NextBounded(num_cpus))));
+  }
+  // Narrowed masks draw on a few hot CPUs, so pinned tasks pile up there.
+  std::vector<int> hot;
+  for (int i = 0; i < 16; ++i) {
+    hot.push_back(static_cast<int>(rng.NextBounded(num_cpus)));
+  }
+  auto narrow_mask = [&](int cpu) {
+    switch (rng.NextBounded(5)) {
+      case 0:
+        return CpuMask::Single(cpu);
+      case 1:
+        return topo.CoreMask(topo.cpu(cpu).core);
+      case 2:
+        return topo.CcxMask(topo.cpu(cpu).ccx);
+      case 3: {
+        CpuMask mask;
+        for (int i = 0; i < 3; ++i) {
+          mask.Set(hot[rng.NextBounded(hot.size())]);
+        }
+        return mask;
+      }
+      default:
+        return CpuMask::AllUpTo(num_cpus);
+    }
+  };
+
+  CfsReference reference(kernel, cfs);
+  uint64_t steps_with_queues = 0;
+  auto compare = [&](int step) {
+    reference.Snapshot();
+    ASSERT_EQ(cfs->MaxQueueDepth(), reference.MaxDepth()) << "step " << step;
+    steps_with_queues += reference.MaxDepth() > 0;
+    for (int cpu = 0; cpu < num_cpus; ++cpu) {
+      ASSERT_EQ(cfs->QueueDepth(cpu), reference.Depth(cpu)) << "step " << step;
+      ASSERT_EQ(cfs->PullSource(cpu), reference.PullSource(cpu))
+          << "step " << step << " cpu " << cpu;
+    }
+    for (int i = 0; i < 16; ++i) {
+      const Task* task = tasks[rng.NextBounded(tasks.size())];
+      ASSERT_EQ(cfs->SelectCpu(task), reference.SelectCpu(task))
+          << "step " << step << " task " << task->name();
+    }
+  };
+
+  for (int step = 0; step < 1500; ++step) {
+    Task* task = tasks[rng.NextBounded(tasks.size())];
+    switch (rng.NextBounded(6)) {
+      case 0:  // wakeups, early for timer-blocked tasks
+        for (int i = 0; i < 8; ++i) {
+          wake(tasks[rng.NextBounded(tasks.size())]);
+        }
+        break;
+      case 1:  // block a running task mid-burst
+        if (task->state() == TaskState::kRunning) {
+          kernel.Block(task);
+        }
+        break;
+      case 2:  // preemption by yield
+        if (task->state() == TaskState::kRunning) {
+          kernel.Yield(task);
+        }
+        break;
+      case 3:
+        kernel.SetNice(task, static_cast<int>(rng.NextInRange(-20, 19)));
+        break;
+      case 4:
+        kernel.SetAffinity(task, narrow_mask(hot[rng.NextBounded(hot.size())]));
+        break;
+      default:  // class change, off CPUs only (on-CPU moves: kernel_test)
+        if (task->state() == TaskState::kBlocked ||
+            (task->state() == TaskState::kRunnable && task->inbound_cpu() < 0)) {
+          kernel.SetSchedClass(task, task->sched_class() == cfs
+                                         ? static_cast<SchedClass*>(m.mq_class())
+                                         : cfs);
+        }
+        break;
+    }
+    compare(step);
+    if (HasFatalFailure()) {
+      return;
+    }
+    m.RunFor(Microseconds(rng.NextInRange(0, 60)));
+    compare(step);
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
+  // The mix must have built queues to compare against, not idled.
+  EXPECT_GT(steps_with_queues, 1000u);
+  EXPECT_GT(cfs->steals(), 0u);
 }
 
 // --- Virtual clock stability -----------------------------------------------------------

@@ -6,12 +6,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <ostream>
 #include <string>
 
 #include "src/verify/explorer.h"
 #include "src/verify/explorer_scenarios.h"
 
 namespace gs {
+
+// gtest names a parameterised case after its printed parameter; without a
+// printer it hex-dumps the struct, pointers included, and the test IDs change
+// from one process to the next.
+void PrintTo(const ExplorerScenarioInfo& info, std::ostream* os) { *os << info.name; }
+
 namespace {
 
 Explorer::Options BoundedDfs() {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/sim/simulation.h"
+#include "src/verify/invariants.h"
 #include "tests/test_util.h"
 
 namespace gs {
@@ -310,6 +311,42 @@ TEST(KernelTest, ZeroLengthBurstSurvivesSameInstantPreemption) {
   m.RunFor(Milliseconds(1));
   EXPECT_EQ(task->state(), TaskState::kDead)
       << "zero-length burst completion was lost across the preemption";
+}
+
+TEST(KernelTest, SetSchedClassRefreshesCachedOccupant) {
+  // A class change of a task that occupies a CPU, running or mid-switch, is
+  // the one occupant change that writes no CpuState field; the kernel's
+  // cached occupant priority must follow it all the same.
+  SimulationContext m({.topology = SmallTopo(2)});
+  Kernel& kernel = m.kernel();
+  InvariantChecker checker(&kernel);
+  Task* running = SpawnHog(kernel, "running");
+  kernel.SetAffinity(running, CpuMask::Single(0));
+  m.RunFor(Milliseconds(1));
+  ASSERT_EQ(kernel.current(0), running);
+  Task* inbound = SpawnHog(kernel, "inbound");
+  kernel.SetAffinity(inbound, CpuMask::Single(1));
+  m.RunFor(Nanoseconds(1));  // the pick ran; the context switch is in flight
+  ASSERT_TRUE(kernel.cpu_state(1).switching);
+  ASSERT_EQ(kernel.cpu_state(1).switching_to, inbound);
+
+  for (SchedClass* cls : {static_cast<SchedClass*>(m.mq_class()), kernel.default_class()}) {
+    kernel.SetSchedClass(running, cls);
+    kernel.SetSchedClass(inbound, cls);
+    for (int cpu = 0; cpu < 2; ++cpu) {
+      for (int i = 0; i < kernel.num_classes(); ++i) {
+        const SchedClass* asker = kernel.sched_class_at(i);
+        EXPECT_EQ(kernel.CpuAvailableFor(cpu, asker),
+                  UncachedCpuAvailableFor(kernel, cpu, asker))
+            << "cpu " << cpu << " asked by " << asker->name() << " after moving to "
+            << cls->name();
+      }
+    }
+    checker.CheckNow();
+    EXPECT_TRUE(checker.ok()) << checker.Report();
+  }
+  // The run ends here: SetSchedClass also queues a mid-switch task in its new
+  // class, and a later pick of that queued copy would trip the class's checks.
 }
 
 TEST(KernelTest, BusyTimeAccounting) {

@@ -34,6 +34,27 @@ inline Task* SpawnHog(Kernel& kernel, const std::string& name, SchedClass* cls =
   return task;
 }
 
+// Kernel::CpuAvailableFor without the kernel's cache: the occupant from
+// CpuState, class priorities by searching the installed order.
+inline bool UncachedCpuAvailableFor(Kernel& kernel, int cpu, const SchedClass* cls) {
+  const CpuState& cs = kernel.cpu_state(cpu);
+  const Task* occupant = cs.switching ? cs.switching_to : cs.current;
+  if (occupant == nullptr) {
+    return true;
+  }
+  int occupant_index = -1;
+  int cls_index = -1;
+  for (int i = 0; i < kernel.num_classes(); ++i) {
+    if (kernel.sched_class_at(i) == occupant->sched_class()) {
+      occupant_index = i;
+    }
+    if (kernel.sched_class_at(i) == cls) {
+      cls_index = i;
+    }
+  }
+  return occupant_index > cls_index;
+}
+
 }  // namespace gs
 
 #endif  // GHOST_SIM_TESTS_TEST_UTIL_H_
