@@ -45,14 +45,13 @@ class HintPriorityPolicy : public GlobalAgentPolicy {
       assignments().emplace_back(cpu, next);
     }
     // Tseq-tagged: a commit built on a stale view of a thread fails ESTALE.
-    const bool committed =
-        CommitAssignments(ctx, /*use_tseq=*/true, [&](int, PolicyTask* t, bool ok) {
-          if (ok) {
-            dispatched.push_back(ctx.ReadHint(t->tid));
-          } else if (t->runnable) {
-            Enqueue(ctx, t);
-          }
-        });
+    const bool committed = CommitAssignments(ctx, [&](int, PolicyTask* t, bool ok) {
+      if (ok) {
+        dispatched.push_back(ctx.ReadHint(t->tid));
+      } else if (t->runnable) {
+        Enqueue(ctx, t);
+      }
+    });
     return drained() > 0 || committed ? AgentAction::kRunAgain : AgentAction::kPollWait;
   }
 

@@ -50,13 +50,12 @@ class GlobalAgentPolicy : public Policy {
   std::vector<std::pair<int, PolicyTask*>>& assignments() { return assignments_; }
 
   // Commits assignments() in order, each transaction tagged with the task's
-  // expected_tseq when `use_tseq` (§3.3 staleness detection), in group
-  // commits of at most `max_group` transactions per syscall. A committed
-  // task's assigned_cpu and last_cpu become its CPU. Then calls
-  // on_result(cpu, task, committed) per assignment, in order. Returns
-  // whether any transaction committed.
+  // expected_tseq (§3.3 staleness detection), in group commits of at most
+  // `max_group` transactions per syscall. A committed task's assigned_cpu
+  // and last_cpu become its CPU. Then calls on_result(cpu, task, committed)
+  // per assignment, in order. Returns whether any transaction committed.
   template <typename OnResult>
-  bool CommitAssignments(AgentContext& ctx, bool use_tseq, OnResult on_result,
+  bool CommitAssignments(AgentContext& ctx, OnResult on_result,
                          size_t max_group = SIZE_MAX);
 
   // The full-view replacement a subclass's Restore() (also the overflow-
@@ -89,8 +88,8 @@ class GlobalAgentPolicy : public Policy {
 };
 
 template <typename OnResult>
-bool GlobalAgentPolicy::CommitAssignments(AgentContext& ctx, bool use_tseq,
-                                          OnResult on_result, size_t max_group) {
+bool GlobalAgentPolicy::CommitAssignments(AgentContext& ctx, OnResult on_result,
+                                          size_t max_group) {
   if (assignments_.empty()) {
     return false;
   }
@@ -99,9 +98,7 @@ bool GlobalAgentPolicy::CommitAssignments(AgentContext& ctx, bool use_tseq,
   for (size_t i = 0; i < assignments_.size(); ++i) {
     const auto [cpu, task] = assignments_[i];
     txns_[i] = AgentContext::MakeTxn(task->tid, cpu);
-    if (use_tseq) {
-      txns_[i].expected_tseq = task->tseq;
-    }
+    txns_[i].expected_tseq = task->tseq;
     txn_ptrs_[i] = &txns_[i];
   }
   for (size_t off = 0; off < txn_ptrs_.size(); off += max_group) {

@@ -56,16 +56,10 @@ inline Duration InterpolatedTimeslice(Duration base, Duration min, int priority,
   return base - (base - min) * priority / (levels - 1);
 }
 
-// When must a slice-enforcing agent next wake up? With probe_interval == 0
-// the agent tracks each running task exactly and wakes at the earliest
-// expiry (`earliest_since + slice`); with probe_interval > 0 it wakes on a
-// fixed cadence instead — how the real Shinjuku dataplane polls worker
-// state on a timer rather than tracking per-request expiries.
-inline Time NextSliceWakeup(Time earliest_since, Duration slice, Time now,
-                            Duration probe_interval) {
-  if (probe_interval > 0) {
-    return now + probe_interval;
-  }
+// When must a slice-enforcing agent next wake up? It tracks each running
+// task exactly and wakes at the earliest expiry: the oldest running task's
+// start plus one slice.
+inline Time NextSliceWakeup(Time earliest_since, Duration slice) {
   return earliest_since + slice;
 }
 

@@ -116,9 +116,10 @@ void JsonWriter::Double(double value) {
     return;
   }
   // Integral doubles print without a fraction; everything else with enough
-  // digits to round-trip typical metric values deterministically.
-  if (value == static_cast<double>(static_cast<int64_t>(value)) &&
-      std::abs(value) < 1e15) {
+  // digits to round-trip typical metric values deterministically. The
+  // magnitude test comes first: casting a double beyond int64 is undefined.
+  if (std::abs(value) < 1e15 &&
+      value == static_cast<double>(static_cast<int64_t>(value))) {
     out_ += std::to_string(static_cast<int64_t>(value));
     return;
   }

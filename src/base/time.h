@@ -23,6 +23,11 @@ constexpr Duration Microseconds(int64_t n) { return n * 1'000; }
 constexpr Duration Milliseconds(int64_t n) { return n * 1'000'000; }
 constexpr Duration Seconds(int64_t n) { return n * 1'000'000'000; }
 
+// Fractional config values (scenario JSON, policy settings) to whole
+// nanoseconds, truncating toward zero.
+constexpr Duration FromMs(double ms) { return static_cast<Duration>(ms * 1e6); }
+constexpr Duration FromUs(double us) { return static_cast<Duration>(us * 1e3); }
+
 constexpr double ToSeconds(Duration d) { return static_cast<double>(d) * 1e-9; }
 constexpr double ToMicros(Duration d) { return static_cast<double>(d) * 1e-3; }
 constexpr double ToMillis(Duration d) { return static_cast<double>(d) * 1e-6; }

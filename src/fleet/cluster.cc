@@ -10,9 +10,6 @@ namespace gs {
 namespace fleet {
 namespace {
 
-Duration FromMs(double ms) { return static_cast<Duration>(ms * 1e6); }
-Duration FromUs(double us) { return static_cast<Duration>(us * 1e3); }
-
 // Gbps -> bytes per simulated nanosecond.
 double BytesPerNs(double gbps) { return gbps / 8.0; }
 
@@ -107,36 +104,11 @@ void Cluster::BuildFleet() {
   lb_options.virtual_nodes = fleet.balancer.virtual_nodes;
   balancer_ = std::make_unique<LoadBalancer>(lb_options);
 
-  // ---- Front-end load: the workload's Poisson phases drive arrivals, with
-  // the same per-phase seeds the single-machine path uses. ------------------
-  // Service model shared by arrival sampling and leaf RPC sampling.
-  if (spec_.workload.service.model == "fixed") {
-    service_ = std::make_unique<FixedServiceModel>(
-        FromUs(spec_.workload.service.fixed_us));
-  } else if (spec_.workload.service.model == "exponential") {
-    service_ = std::make_unique<ExponentialServiceModel>(
-        FromUs(spec_.workload.service.mean_us));
-  } else {
-    service_ = std::make_unique<BimodalServiceModel>(
-        FromUs(spec_.workload.service.short_us),
-        FromUs(spec_.workload.service.long_us), spec_.workload.service.p_long);
-  }
-  Time phase_start = 0;
-  int phase_index = 0;
-  for (const scenario::LoadPhase& phase : spec_.workload.phases) {
-    const Time start = phase_start;
-    const Time end = phase_start + FromMs(phase.duration_ms);
-    if (phase.qps > 0) {
-      gens_.push_back(std::make_unique<PoissonLoadGen>(
-          frontend_loop_.get(), service_.get(), phase.qps,
-          spec_.seed + 1000003ULL * static_cast<uint64_t>(phase_index),
-          [this](Time, Duration service) { OnArrival(service); }));
-      PoissonLoadGen* gen = gens_.back().get();
-      frontend_loop_->ScheduleAt(start, [gen, end] { gen->Start(end); });
-    }
-    phase_start = end;
-    ++phase_index;
-  }
+  // ---- Front-end load: the workload's phases drive arrivals, and its
+  // service model also samples the leaf RPCs. --------------------------------
+  load_ = std::make_unique<PhasedLoad>(spec_.workload.service);
+  load_->Start(spec_.workload.phases, spec_.seed, frontend_loop_.get(),
+               [this](Time, Duration service) { OnArrival(service); });
 
   // ---- Fleet plan: balancer events run on the front-end loop at their
   // exact times; link events become epoch cuts applied at barriers. ---------
@@ -179,7 +151,7 @@ void Cluster::OnArrival(Duration root_service) {
   const int leaves = spec_.fleet->rpc_fanout - 1;
   auto leaf_services = std::make_shared<std::vector<Duration>>();
   for (int i = 0; i < leaves; ++i) {
-    leaf_services->push_back(service_->Sample(leaf_rng_));
+    leaf_services->push_back(load_->service().Sample(leaf_rng_));
   }
   network_->Send(num_machines(), machine, request_bytes_,
                  [this, machine, arrival, root_service, leaf_services] {
@@ -294,11 +266,7 @@ void Cluster::RunFleet() {
 }
 
 void Cluster::CollectFleet(scenario::ScenarioResult* result) {
-  int64_t generated = 0;
-  for (const auto& gen : gens_) {
-    generated += gen->generated();
-  }
-  result->exact["generated"] = generated;
+  result->exact["generated"] = load_->generated();
   result->exact["completed"] = completed_;
   result->exact["shed"] = shed_;
   int64_t rpcs = 0;

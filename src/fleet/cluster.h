@@ -70,8 +70,7 @@ class Cluster {
   std::unique_ptr<EventLoop> frontend_loop_;
   std::unique_ptr<NetworkModel> network_;
   std::unique_ptr<LoadBalancer> balancer_;
-  std::unique_ptr<ServiceTimeModel> service_;
-  std::vector<std::unique_ptr<PoissonLoadGen>> gens_;
+  std::unique_ptr<PhasedLoad> load_;
   Rng session_rng_;
   Rng leaf_rng_;
   LatencyRecorder e2e_;

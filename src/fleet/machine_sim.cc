@@ -13,9 +13,6 @@ namespace gs {
 namespace fleet {
 namespace {
 
-Duration FromMs(double ms) { return static_cast<Duration>(ms * 1e6); }
-Duration FromUs(double us) { return static_cast<Duration>(us * 1e3); }
-
 Topology MakeTopology(const scenario::TopologySpec& spec) {
   if (spec.preset == "e5_24") {
     return Topology::IntelE5_24();
@@ -33,19 +30,6 @@ Topology MakeTopology(const scenario::TopologySpec& spec) {
                         spec.cores_per_ccx);
 }
 
-ServiceTimeModel* MakeService(const scenario::ServiceSpec& spec,
-                              std::unique_ptr<ServiceTimeModel>* owned) {
-  if (spec.model == "fixed") {
-    *owned = std::make_unique<FixedServiceModel>(FromUs(spec.fixed_us));
-  } else if (spec.model == "exponential") {
-    *owned = std::make_unique<ExponentialServiceModel>(FromUs(spec.mean_us));
-  } else {
-    *owned = std::make_unique<BimodalServiceModel>(
-        FromUs(spec.short_us), FromUs(spec.long_us), spec.p_long);
-  }
-  return owned->get();
-}
-
 // Joint state for one fan-out group (tail-at-scale): the group completes when
 // its slowest sub-request does.
 struct FanoutGroup {
@@ -54,6 +38,40 @@ struct FanoutGroup {
 };
 
 }  // namespace
+
+PhasedLoad::PhasedLoad(const scenario::ServiceSpec& spec) {
+  if (spec.model == "fixed") {
+    service_ = std::make_unique<FixedServiceModel>(FromUs(spec.fixed_us));
+  } else if (spec.model == "exponential") {
+    service_ = std::make_unique<ExponentialServiceModel>(FromUs(spec.mean_us));
+  } else {
+    service_ = std::make_unique<BimodalServiceModel>(FromUs(spec.short_us),
+                                                     FromUs(spec.long_us), spec.p_long);
+  }
+}
+
+void PhasedLoad::Start(const std::vector<scenario::LoadPhase>& phases, uint64_t seed,
+                       EventLoop* loop, const std::function<void(Time, Duration)>& sink) {
+  Time start = 0;
+  for (size_t k = 0; k < phases.size(); ++k) {
+    const Time end = start + FromMs(phases[k].duration_ms);
+    if (phases[k].qps > 0) {
+      gens_.push_back(std::make_unique<PoissonLoadGen>(loop, service_.get(), phases[k].qps,
+                                                       seed + 1000003ULL * k, sink));
+      PoissonLoadGen* gen = gens_.back().get();
+      loop->ScheduleAt(start, [gen, end] { gen->Start(end); });
+    }
+    start = end;
+  }
+}
+
+int64_t PhasedLoad::generated() const {
+  int64_t total = 0;
+  for (const std::unique_ptr<PoissonLoadGen>& gen : gens_) {
+    total += gen->generated();
+  }
+  return total;
+}
 
 MachineSim::MachineSim(const scenario::ScenarioSpec& spec, const Options& machine_options)
     : spec_(spec),
@@ -204,7 +222,8 @@ MachineSim::MachineSim(const scenario::ScenarioSpec& spec, const Options& machin
     vm_->Start();
     vm_->StartSecuritySampler();
   } else if (!machine_options.fleet_mode) {
-    ServiceTimeModel* service = MakeService(spec_.workload.service, &service_owned_);
+    load_ = std::make_unique<PhasedLoad>(spec_.workload.service);
+    ServiceTimeModel* service = &load_->service();
     ThreadPoolServer* server_ptr = server_.get();
     std::function<void(Time, Duration)> sink;
     const int fanout = spec_.workload.fanout;
@@ -230,21 +249,7 @@ MachineSim::MachineSim(const scenario::ScenarioSpec& spec, const Options& machin
         }
       };
     }
-    Time phase_start = 0;
-    int phase_index = 0;
-    for (const scenario::LoadPhase& phase : spec_.workload.phases) {
-      const Time start = phase_start;
-      const Time end = phase_start + FromMs(phase.duration_ms);
-      if (phase.qps > 0) {
-        gens_.push_back(std::make_unique<PoissonLoadGen>(
-            &ctx_->loop(), service, phase.qps,
-            spec_.seed + 1000003ULL * static_cast<uint64_t>(phase_index), sink));
-        PoissonLoadGen* gen = gens_.back().get();
-        ctx_->loop().ScheduleAt(start, [gen, end] { gen->Start(end); });
-      }
-      phase_start = end;
-      ++phase_index;
-    }
+    load_->Start(spec_.workload.phases, spec_.seed, &ctx_->loop(), sink);
   }
 
   // ---- Fault plan -----------------------------------------------------------
@@ -313,12 +318,8 @@ void MachineSim::FinishChecks() {
 }
 
 void MachineSim::CollectLocal(scenario::ScenarioResult* result) {
-  int64_t generated = 0;
-  for (const auto& gen : gens_) {
-    generated += gen->generated();
-  }
   if (!is_vm_) {
-    result->exact["generated"] = generated;
+    result->exact["generated"] = load_ != nullptr ? load_->generated() : 0;
     result->exact["completed"] = server_->completed();
     result->exact["dropped"] = server_->dropped();
     const double measured =

@@ -36,6 +36,26 @@
 namespace gs {
 namespace fleet {
 
+// The workload's open-loop arrivals, alike on a single machine and at a
+// fleet's front end: its service-time model, and one Poisson generator per
+// phase with qps > 0, started at the phase's offset. Phase k draws from seed
+// + 1000003 * k.
+class PhasedLoad {
+ public:
+  explicit PhasedLoad(const scenario::ServiceSpec& service);
+
+  ServiceTimeModel& service() { return *service_; }
+  // Schedules the phases on `loop`; every arrival goes to `sink`.
+  void Start(const std::vector<scenario::LoadPhase>& phases, uint64_t seed, EventLoop* loop,
+             const std::function<void(Time, Duration)>& sink);
+  // Arrivals so far, over all phases.
+  int64_t generated() const;
+
+ private:
+  std::unique_ptr<ServiceTimeModel> service_;
+  std::vector<std::unique_ptr<PoissonLoadGen>> gens_;
+};
+
 class MachineSim {
  public:
   struct Options {
@@ -96,8 +116,7 @@ class MachineSim {
   // Policies hot-swapped out by the A/B promote/rollback plan; kept so their
   // per-lane counters can be summed at collect time.
   std::vector<std::unique_ptr<Policy>> retired_policies_;
-  std::unique_ptr<ServiceTimeModel> service_owned_;
-  std::vector<std::unique_ptr<PoissonLoadGen>> gens_;
+  std::unique_ptr<PhasedLoad> load_;  // local load only (not in fleet mode)
   LatencyRecorder group_latency_;  // fan-out group completion latency
   Rng fanout_rng_;
   std::unique_ptr<InvariantChecker> checker_;

@@ -833,9 +833,7 @@ void Enclave::OnTaskDeparted(Task* task) {
 }
 
 void Enclave::OnTaskStarted(Task* task, int cpu) {
-  const Duration latency = kernel_->now() - task->runnable_since();
-  sched_latency_.Add(latency);
-  stat_sched_latency_ns_->Observe(latency);
+  stat_sched_latency_ns_->Observe(kernel_->now() - task->runnable_since());
 }
 
 void Enclave::OnTimerTick(int cpu) { Post(nullptr, MessageType::kTimerTick, cpu); }

@@ -25,7 +25,6 @@
 
 #include "src/base/cpumask.h"
 #include "src/base/flat_map.h"
-#include "src/base/histogram.h"
 #include "src/base/inline_callback.h"
 #include "src/base/slab.h"
 #include "src/ghost/fastpath.h"
@@ -215,9 +214,6 @@ class Enclave {
   // that rode an already-armed event (same queue, same fire instant).
   uint64_t queue_wakeups_scheduled() const { return queue_wakeups_scheduled_; }
   uint64_t queue_wakeups_coalesced() const { return queue_wakeups_coalesced_; }
-  // Wakeup-to-running latency of managed threads, recorded kernel-side at
-  // every dispatch — the end-to-end cost of the delegation machinery.
-  const Histogram& sched_latency() const { return sched_latency_; }
 
   // Test seam (schedule-space explorer mutation battery): on a synchronized
   // group failure, members latched before the failing one are delivered
@@ -301,7 +297,6 @@ class Enclave {
   uint64_t queue_wakeups_coalesced_ = 0;
   // Per-commit scratch (TxnsCommit is once per agent iteration).
   std::vector<bool> txn_handled_scratch_;
-  Histogram sched_latency_;
 
   // Hot-path metrics (global registry; pointers cached at construction).
   // Indexed by MessageType / TxnStatus enum value.

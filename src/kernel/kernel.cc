@@ -212,12 +212,16 @@ void Kernel::SetSchedClass(Task* task, SchedClass* cls) {
     }
   }
   cls->TaskNew(task);
-  if (task->state() == TaskState::kRunnable) {
-    cls->EnqueueWake(task);
-  } else if (task->state() == TaskState::kRunning) {
+  if (task->state() == TaskState::kRunning) {
     // Keep running; the new class adopts it at the next PutPrev. Re-evaluate
     // in case something in the new order should preempt it.
     ReschedCpu(task->cpu());
+  } else if (task->state() == TaskState::kRunnable && task->inbound_cpu() >= 0) {
+    // Mid-switch: no runqueue holds it and the switch in flight runs it, so
+    // it is adopted like a running task (the resched waits for the switch).
+    ReschedCpu(task->inbound_cpu());
+  } else if (task->state() == TaskState::kRunnable) {
+    cls->EnqueueWake(task);
   }
 }
 

@@ -185,7 +185,7 @@ AgentAction CentralizedFifoPolicy::Schedule(AgentContext& ctx) {
   // 4. Group-commit all assignments (Fig 4: Schedule()), split into chunks
   // of at most max_group_commit transactions per syscall.
   const bool committed = CommitAssignments(
-      ctx, options_.use_tseq,
+      ctx,
       [this, &ctx](int cpu, PolicyTask* task, bool ok) {
         if (ok) {
           running_[cpu] = Running{task, ctx.start() + ctx.cost()};
@@ -207,8 +207,7 @@ AgentAction CentralizedFifoPolicy::Schedule(AgentContext& ctx) {
       }
     }
     if (earliest_since != kTimeNever) {
-      const Time wake = NextSliceWakeup(earliest_since, slice, ctx.start(),
-                                        options_.probe_interval);
+      const Time wake = NextSliceWakeup(earliest_since, slice);
       ctx.RequestWakeupAt(std::max(wake, ctx.start() + ctx.cost()));
     }
   }

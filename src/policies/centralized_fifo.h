@@ -29,16 +29,8 @@ class CentralizedFifoPolicy : public GlobalAgentPolicy {
     int global_cpu = -1;
     // 0 disables preemption (run to completion, like CFS-Shinjuku).
     Duration preemption_timeslice = 0;
-    // Cadence at which the agent wakes to probe for expired slices. 0 =
-    // track each running task's exact expiry (wake precisely when the
-    // earliest slice runs out); >0 = wake on a fixed probe interval, the way
-    // the real Shinjuku dataplane polls worker state on a timer. Scenario
-    // key: policy.probe_interval_us.
-    Duration probe_interval = 0;
     // Maps tid -> tier (0 latency-critical, 1 batch). Default: everything 0.
     std::function<int(int64_t)> tier_of;
-    // Tag transactions with expected_tseq (§3.3 staleness detection).
-    bool use_tseq = true;
     // Install the BPF-analog fast path (§3.2/§5): overflow runnable threads
     // are published to a shared ring that idle CPUs pop from pick_next_task.
     bool use_fastpath = false;

@@ -15,9 +15,6 @@
 namespace gs {
 namespace {
 
-Duration FromUs(double us) { return static_cast<Duration>(us * 1e3); }
-Duration FromMs(double ms) { return static_cast<Duration>(ms * 1e6); }
-
 int GlobalCpu(const PolicyConfig& config, const PolicyEnv& env) {
   return config.global_cpu >= 0 ? config.global_cpu : env.default_global_cpu;
 }
@@ -49,16 +46,13 @@ constexpr Builder kBuilders[] = {
     // shinjuku (§4.2): preemptive centralized FIFO; requests rotate to the
     // back of the FIFO when their slice runs out.
     [](const PolicyConfig& config, const PolicyEnv& env) -> std::unique_ptr<Policy> {
-      CentralizedFifoPolicy::Options o = Centralized(config, env);
-      o.probe_interval = FromUs(config.probe_interval_us);
-      return std::make_unique<CentralizedFifoPolicy>(std::move(o));
+      return std::make_unique<CentralizedFifoPolicy>(Centralized(config, env));
     },
     // shinjuku_shenango (§4.2): idle cycles go to batch (tier 1) threads,
     // which latency-critical wakeups preempt immediately — "merely 17 more
     // lines of code" in the paper, one classifier here.
     [](const PolicyConfig& config, const PolicyEnv& env) -> std::unique_ptr<Policy> {
       CentralizedFifoPolicy::Options o = Centralized(config, env);
-      o.probe_interval = FromUs(config.probe_interval_us);
       o.tier_of = TierOf(env);
       return std::make_unique<CentralizedFifoPolicy>(std::move(o));
     },

@@ -28,10 +28,6 @@ struct PolicyConfig {
   std::string kind = "shinjuku";
   int global_cpu = -1;          // centralized policies; -1 = first enclave CPU
   double timeslice_us = 30;     // preemption timeslice (0 = run to completion)
-  // Shinjuku family: cadence at which the agent probes for expired slices
-  // (0 = track each running task's exact expiry). Lets probe-vs-predictive
-  // comparisons be a config diff.
-  double probe_interval_us = 0;
   // predictive_shinjuku: predicted service >= threshold routes to the long
   // lane; predicted-shorts carry a backstop of predicted * multiplier.
   double long_threshold_us = 100;

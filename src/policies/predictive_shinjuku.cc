@@ -38,7 +38,7 @@ void PredictiveShinjukuPolicy::Restore(const std::vector<Enclave::TaskInfo>& dum
     // the next wakeup and classify conservatively as short (the backstop
     // catches it if that is wrong).
     st.lane = task->tier != 0 ? kBatch : kShort;
-    st.allowance = st.lane == kBatch ? options_.rotation_slice : options_.min_backstop;
+    st.allowance = st.lane == kBatch ? options_.rotation_slice : kMinBackstop;
     if (info.on_cpu) {
       st.on_cpu = info.cpu;
       running_[info.cpu] = Running{task, 0};
@@ -71,8 +71,7 @@ void PredictiveShinjukuPolicy::ClassifyWakeup(AgentContext& ctx, PolicyTask* tas
     ++predicted_long_;
   } else {
     st.lane = kShort;
-    st.allowance = std::max(predicted * options_.backstop_multiplier,
-                            options_.min_backstop);
+    st.allowance = std::max(predicted * options_.backstop_multiplier, kMinBackstop);
     ++predicted_short_;
   }
 }
@@ -255,7 +254,7 @@ AgentAction PredictiveShinjukuPolicy::Schedule(AgentContext& ctx) {
   // 3. Group-commit all assignments. Unlike probe-Shinjuku, a drain alone
   // is not progress: the agent poll-waits until something commits.
   const bool progress = CommitAssignments(
-      ctx, options_.use_tseq, [this, &ctx](int cpu, PolicyTask* task, bool ok) {
+      ctx, [this, &ctx](int cpu, PolicyTask* task, bool ok) {
         if (ok) {
           StateOf(task).on_cpu = cpu;
           running_[cpu] = Running{task, ctx.start() + ctx.cost()};

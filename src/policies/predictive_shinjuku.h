@@ -56,12 +56,10 @@ class PredictiveShinjukuPolicy : public GlobalAgentPolicy {
     // the Shinjuku 30 µs. Scenario key: policy.timeslice_us.
     Duration rotation_slice = Microseconds(30);
     // Backstop allowance for predicted-shorts: predicted * multiplier,
-    // floored at min_backstop. Scenario key: policy.backstop_multiplier.
+    // floored at kMinBackstop. Scenario key: policy.backstop_multiplier.
     int backstop_multiplier = 4;
-    Duration min_backstop = Microseconds(20);
     // Maps tid -> tier (0 latency-critical, 1 batch). Default: everything 0.
     std::function<int(int64_t)> tier_of;
-    bool use_tseq = true;
     predict::ServiceTimePredictor::Options predictor;
   };
 
@@ -96,6 +94,8 @@ class PredictiveShinjukuPolicy : public GlobalAgentPolicy {
  private:
   // Lanes, in strict dispatch-priority order.
   enum Lane { kShort = 0, kLong = 1, kBatch = 2, kNumLanes = 3 };
+  // Floor of a predicted-short's backstop allowance.
+  static constexpr Duration kMinBackstop = Microseconds(20);
 
   // Per-task predictive state, owned here and linked from PolicyTask::user.
   struct PredTask {

@@ -117,7 +117,7 @@ AgentAction SearchPolicy::Schedule(AgentContext& ctx) {
   }
 
   const bool committed = CommitAssignments(
-      ctx, options_.use_tseq, [this](int cpu, PolicyTask* task, bool ok) {
+      ctx, [this](int cpu, PolicyTask* task, bool ok) {
         if (!ok && task->runnable && !task->queued) {
           task->queued = true;
           runqueue_.Push(task, 0);  // retry promptly

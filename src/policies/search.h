@@ -41,7 +41,6 @@ class SearchPolicy : public GlobalAgentPolicy {
     // Keep a thread pending this long before accepting a cache-cold CPU
     // (0 = migrate immediately).
     Duration max_pending_before_migrate = Microseconds(100);
-    bool use_tseq = true;
     // Feed TieredPlacer CCX hints from a per-tid wakeup-affinity predictor.
     bool predictive_placement = false;
   };

@@ -2,6 +2,8 @@
 // factors, MicroQuanta throttling, accounting exactness, determinism.
 #include <gtest/gtest.h>
 
+#include "src/agent/agent_process.h"
+#include "src/policies/per_cpu_fifo.h"
 #include "src/sim/simulation.h"
 #include "src/verify/invariants.h"
 #include "tests/test_util.h"
@@ -345,8 +347,56 @@ TEST(KernelTest, SetSchedClassRefreshesCachedOccupant) {
     checker.CheckNow();
     EXPECT_TRUE(checker.ok()) << checker.Report();
   }
-  // The run ends here: SetSchedClass also queues a mid-switch task in its new
-  // class, and a later pick of that queued copy would trip the class's checks.
+}
+
+TEST(KernelTest, SetSchedClassOfMidSwitchTaskLetsTheSwitchRunIt) {
+  // A task being switched in is in no runqueue; the new class must adopt it
+  // like a running task instead of queueing a second copy of it.
+  SimulationContext m({.topology = SmallTopo(2)});
+  Kernel& kernel = m.kernel();
+  InvariantChecker checker(&kernel);
+  checker.Start();
+  Task* hog = kernel.CreateTask("hog");
+  kernel.SetAffinity(hog, CpuMask::Single(1));
+  kernel.StartBurst(hog, Milliseconds(50), [&kernel](Task* t) { kernel.Exit(t); });
+  kernel.Wake(hog);
+  m.RunFor(Nanoseconds(1));  // the pick ran; the context switch is in flight
+  ASSERT_EQ(kernel.cpu_state(1).switching_to, hog);
+  kernel.SetSchedClass(hog, m.mq_class());
+  m.RunFor(Milliseconds(100));
+  EXPECT_EQ(hog->state(), TaskState::kDead);
+  EXPECT_EQ(hog->total_runtime(), Milliseconds(50));
+  EXPECT_TRUE(checker.ok()) << checker.Report();
+}
+
+TEST(KernelTest, EnclaveDestroyMovesMidSwitchGhostThreadToCfs) {
+  // Destroying an enclave moves every managed thread back to CFS, including
+  // one the agent's commit is switching in right now.
+  SimulationContext m({.topology = SmallTopo(2)});
+  Kernel& kernel = m.kernel();
+  InvariantChecker checker(&kernel);
+  auto enclave = m.CreateEnclave(CpuMask::AllUpTo(2));
+  checker.Watch(enclave.get());
+  checker.Start();
+  auto process =
+      m.CreateAgentProcess(enclave.get(), std::make_unique<PerCpuFifoPolicy>());
+  process->Start();
+  Task* worker = kernel.CreateTask("worker");
+  enclave->AddTask(worker);
+  kernel.StartBurst(worker, Milliseconds(5), [&kernel](Task* t) { kernel.Exit(t); });
+  kernel.Wake(worker);
+  while (worker->inbound_cpu() < 0) {
+    ASSERT_LT(m.now(), Milliseconds(1)) << "the agent never switched the worker in";
+    ASSERT_TRUE(m.loop().RunOne());
+  }
+  ASSERT_EQ(worker->sched_class(), m.ghost_class());
+  enclave->Destroy();
+  EXPECT_EQ(worker->sched_class(), kernel.default_class());
+  EXPECT_FALSE(worker->cfs().queued) << "queued in CFS while the switch runs it";
+  m.RunFor(Milliseconds(20));
+  EXPECT_EQ(worker->state(), TaskState::kDead);
+  EXPECT_EQ(worker->total_runtime(), Milliseconds(5));
+  EXPECT_TRUE(checker.ok()) << checker.Report();
 }
 
 TEST(KernelTest, BusyTimeAccounting) {

@@ -114,7 +114,7 @@ TEST(EnclaveEdgeTest, DestroyQueueReroutesTickQueue) {
 }
 
 TEST(EnclaveEdgeTest, SchedLatencyHistogramRecordsDispatches) {
-  SimulationContext m({.topology = Topology::Make("t", 1, 2, 1, 2)});
+  SimulationContext m({.topology = Topology::Make("t", 1, 2, 1, 2), .enable_stats = true});
   auto enclave = m.CreateEnclave(CpuMask::AllUpTo(2));
   AgentProcess process(&m.kernel(), m.ghost_class(), enclave.get(),
                        std::make_unique<PerCpuFifoPolicy>());
@@ -125,10 +125,11 @@ TEST(EnclaveEdgeTest, SchedLatencyHistogramRecordsDispatches) {
   m.kernel().Wake(t);
   m.RunFor(Milliseconds(2));
   ASSERT_EQ(t->state(), TaskState::kDead);
-  EXPECT_GE(enclave->sched_latency().count(), 1);
+  const Histogram& latency = m.stats().GetHistogram("ghost_sched_latency_ns")->histogram();
+  EXPECT_GE(latency.count(), 1);
   // Wakeup-to-running through the whole machinery: single-digit microseconds.
-  EXPECT_LT(enclave->sched_latency().Percentile(100), Microseconds(20));
-  EXPECT_GT(enclave->sched_latency().Percentile(0), Nanoseconds(500));
+  EXPECT_LT(latency.Percentile(100), Microseconds(20));
+  EXPECT_GT(latency.Percentile(0), Nanoseconds(500));
 }
 
 TEST(EnclaveEdgeTest, AddTaskTwiceIsFatalButRemoveAddWorks) {

@@ -209,7 +209,6 @@ TEST(ShinjukuFactoryTest, PoliciesCarryOptions) {
   env.cookie_of = [](int64_t tid) { return tid; };
   PolicyConfig config;
   config.timeslice_us = 40;
-  config.probe_interval_us = 20;
   // The kind list drives both the scenario parser and the factory table, so
   // every kind but "cfs" must build, and land on the policy its name says.
   const std::map<std::string, std::string> policy_of = {
@@ -244,16 +243,13 @@ TEST(ShinjukuFactoryTest, PoliciesCarryOptions) {
   };
   const CentralizedFifoPolicy::Options shinjuku = centralized("shinjuku");
   EXPECT_EQ(shinjuku.preemption_timeslice, Microseconds(40));
-  EXPECT_EQ(shinjuku.probe_interval, Microseconds(20));
   EXPECT_EQ(shinjuku.tier_of(7), 0) << "plain Shinjuku has no batch tier";
   const CentralizedFifoPolicy::Options shenango = centralized("shinjuku_shenango");
   EXPECT_EQ(shenango.preemption_timeslice, Microseconds(40));
-  EXPECT_EQ(shenango.probe_interval, Microseconds(20));
   EXPECT_EQ(shenango.tier_of(7), 1);
   EXPECT_EQ(shenango.tier_of(8), 0);
   const CentralizedFifoPolicy::Options snap = centralized("snap");
   EXPECT_EQ(snap.preemption_timeslice, 0) << "Snap workers run to completion";
-  EXPECT_EQ(snap.probe_interval, 0);
   EXPECT_EQ(snap.tier_of(7), 1);
 }
 
