@@ -7,17 +7,23 @@
 //   periodic       hundreds of staggered periodic timers (1-100us periods)
 //   tick_storm_N   N simulated CPUs, each a staggered 1ms periodic tick whose
 //                  callback schedules a delay-0 resched and a 5us follow-up
+//   rearm          per-CPU burst completions that a chain of sibling flips
+//                  (100-700ns apart) keeps moving, as SMT re-rates do: the
+//                  wheel moves them with Reschedule, the reference cancels
+//                  and schedules anew
 //
 // Every workload runs on both engines from the same seed; the (now, tag)
 // firing sequences are FNV-hashed and must match exactly — a mismatch is a
-// determinism bug and the binary exits non-zero. Wall-clock events/sec and
-// the wheel/reference speedup are reported through the schema-v1 harness.
+// determinism bug and the binary exits non-zero. Wall-clock events/sec, the
+// wheel/reference speedup and the wheel's exact work counts
+// (EventLoop::work()) are reported through the schema-v1 harness.
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bench/harness.h"
@@ -43,7 +49,15 @@ struct RunResult {
   uint64_t events = 0;
   double seconds = 0;
   uint64_t checksum = kFnvOffset;
+  EventLoop::Work work;  // wheel only
 };
+
+template <typename Loop>
+void TakeWork(const Loop& loop, RunResult* r) {
+  if constexpr (std::is_same_v<Loop, EventLoop>) {
+    r->work = loop.work();
+  }
+}
 
 class WallTimer {
  public:
@@ -118,6 +132,7 @@ RunResult RunMixed(uint64_t seed, uint64_t target) {
   r.seconds = timer.Elapsed();
   r.events = st.loop.executed_count();
   r.checksum = st.checksum;
+  TakeWork(st.loop, &r);
   return r;
 }
 
@@ -149,6 +164,7 @@ RunResult RunPeriodicHeavy(uint64_t seed, int timers, uint64_t target) {
   r.seconds = timer.Elapsed();
   r.events = loop.executed_count();
   r.checksum = checksum;
+  TakeWork(loop, &r);
   return r;
 }
 
@@ -187,6 +203,75 @@ RunResult RunTickStorm(int cpus, Duration virtual_span) {
   r.seconds = timer.Elapsed();
   r.events = st.loop.executed_count();
   r.checksum = st.checksum;
+  TakeWork(st.loop, &r);
+  return r;
+}
+
+// ---- rearm: completions moved by sibling flips --------------------------
+
+template <typename Loop>
+struct RearmState {
+  Loop loop;
+  Rng rng;
+  uint64_t checksum = kFnvOffset;
+  std::vector<EventId> completion;  // per CPU
+  uint64_t flips = 0;
+  uint64_t target = 0;
+
+  RearmState(uint64_t seed, int cpus)
+      : rng(seed), completion(static_cast<size_t>(cpus), kInvalidEventId) {}
+
+  // Moves CPU `cpu`'s completion to `remaining` from now, as
+  // Kernel::ArmCompletion does.
+  void Arm(uint64_t cpu, Duration remaining) {
+    const Time when = loop.now() + remaining;
+    if constexpr (std::is_same_v<Loop, EventLoop>) {
+      if (loop.Reschedule(completion[cpu], when)) {
+        return;
+      }
+    }
+    loop.Cancel(completion[cpu]);
+    completion[cpu] = loop.ScheduleAt(when, [this, cpu] { Complete(cpu); });
+  }
+
+  void Complete(uint64_t cpu) {
+    checksum = FnvMix(FnvMix(checksum, static_cast<uint64_t>(loop.now())), cpu);
+    completion[cpu] = kInvalidEventId;
+    Arm(cpu, static_cast<Duration>(10000 + rng.NextBounded(90000)));  // 10-100us
+  }
+
+  void Flip() {
+    if (++flips > target) {
+      return;
+    }
+    const uint64_t cpu = rng.NextBounded(completion.size());
+    checksum = FnvMix(FnvMix(checksum, static_cast<uint64_t>(loop.now())), ~cpu);
+    if (completion[cpu] != kInvalidEventId) {
+      Arm(cpu, static_cast<Duration>(1000 + rng.NextBounded(60000)));
+    }
+    loop.ScheduleAfter(static_cast<Duration>(100 + rng.NextBounded(600)),
+                       [this] { Flip(); });
+  }
+};
+
+template <typename Loop>
+RunResult RunRearm(uint64_t seed, int cpus, uint64_t flips) {
+  RearmState<Loop> st(seed, cpus);
+  st.target = flips;
+  WallTimer timer;
+  for (int i = 0; i < cpus; ++i) {
+    st.Arm(static_cast<uint64_t>(i), static_cast<Duration>(1 + st.rng.NextBounded(100000)));
+  }
+  st.loop.ScheduleAfter(0, [&st] { st.Flip(); });
+  // Completions re-arm forever; stop once the flip chain has run out.
+  while (st.flips <= st.target) {
+    st.loop.RunUntil(st.loop.now() + 1000000);
+  }
+  RunResult r;
+  r.seconds = timer.Elapsed();
+  r.events = st.loop.executed_count();
+  r.checksum = st.checksum;
+  TakeWork(st.loop, &r);
   return r;
 }
 
@@ -210,16 +295,26 @@ bool Report(bench::Run& run, std::vector<WorkloadResult>& results) {
                    w.reference.events, w.reference.checksum);
       ok = false;
     }
+    const EventLoop::Work& k = w.wheel.work;
     for (const char* engine : {"wheel", "reference"}) {
-      const RunResult& r =
-          engine == std::string("wheel") ? w.wheel : w.reference;
-      run.AddRow()
-          .Set("workload", w.name)
-          .Set("engine", engine)
-          .Set("events", r.events)
-          .Set("wall_s", r.seconds)
-          .Set("events_per_sec", r.seconds > 0 ? r.events / r.seconds : 0.0)
-          .Set("checksum", static_cast<uint64_t>(r.checksum));
+      const bool wheel = engine == std::string("wheel");
+      const RunResult& r = wheel ? w.wheel : w.reference;
+      bench::Row& row = run.AddRow()
+                            .Set("workload", w.name)
+                            .Set("engine", engine)
+                            .Set("events", r.events)
+                            .Set("wall_s", r.seconds)
+                            .Set("events_per_sec", r.seconds > 0 ? r.events / r.seconds : 0.0)
+                            .Set("checksum", static_cast<uint64_t>(r.checksum));
+      if (wheel) {
+        row.Set("scheduled_zero", k.scheduled_zero)
+            .Set("scheduled_near", k.scheduled_near)
+            .Set("scheduled_far", k.scheduled_far)
+            .Set("cancelled", k.cancelled)
+            .Set("rescheduled", k.rescheduled)
+            .Set("wheel_inserts", k.wheel_inserts)
+            .Set("cascade_reinserts", k.cascade_reinserts);
+      }
     }
     const double speedup = w.reference.seconds > 0 && w.wheel.seconds > 0
                                ? w.reference.seconds / w.wheel.seconds
@@ -231,6 +326,12 @@ bool Report(bench::Run& run, std::vector<WorkloadResult>& results) {
                 w.reference.seconds > 0 ? w.reference.events / w.reference.seconds
                                         : 0.0,
                 speedup);
+    std::printf("%-16s scheduled %" PRIu64 " (zero %" PRIu64 ", <4.096us %" PRIu64
+                ", later %" PRIu64 ")  fired %" PRIu64 "  cancelled %" PRIu64
+                "  rescheduled %" PRIu64 "  wheel inserts %" PRIu64
+                "  cascade re-inserts %" PRIu64 "\n",
+                "", k.scheduled(), k.scheduled_zero, k.scheduled_near, k.scheduled_far,
+                k.fired, k.cancelled, k.rescheduled, k.wheel_inserts, k.cascade_reinserts);
   }
   return ok;
 }
@@ -246,6 +347,7 @@ int main(int argc, char** argv) {
   const int periodic_timers = quick ? 256 : 1024;
   const uint64_t periodic_fires = quick ? 2000000 : 20000000;
   const gs::Duration storm_span = quick ? 300000000 : 1000000000;  // 0.3s / 1s
+  const uint64_t rearm_flips = quick ? 1000000 : 10000000;
   std::vector<int> storm_cpus = {64, 256};
   if (!quick) {
     storm_cpus.push_back(1024);
@@ -255,6 +357,7 @@ int main(int argc, char** argv) {
   harness.Param("periodic_timers", periodic_timers);
   harness.Param("periodic_fires", static_cast<int64_t>(periodic_fires));
   harness.Param("storm_span_ns", static_cast<int64_t>(storm_span));
+  harness.Param("rearm_flips", static_cast<int64_t>(rearm_flips));
 
   std::atomic<int> divergences{0};
   harness.RunAll(1000, [&](gs::bench::Run& run) {
@@ -282,6 +385,14 @@ int main(int argc, char** argv) {
       w.name = "tick_storm_" + std::to_string(cpus);
       w.wheel = gs::RunTickStorm<gs::EventLoop>(cpus, storm_span);
       w.reference = gs::RunTickStorm<gs::ReferenceEventLoop>(cpus, storm_span);
+      results.push_back(std::move(w));
+    }
+
+    {
+      gs::WorkloadResult w;
+      w.name = "rearm";
+      w.wheel = gs::RunRearm<gs::EventLoop>(seed, 112, rearm_flips);
+      w.reference = gs::RunRearm<gs::ReferenceEventLoop>(seed, 112, rearm_flips);
       results.push_back(std::move(w));
     }
 

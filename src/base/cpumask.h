@@ -10,6 +10,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 
 #include "src/base/logging.h"
@@ -165,9 +166,17 @@ class CpuMask {
   }
 
  private:
+  // One unsigned compare inline (a negative cpu wraps past kMaxCpus); the
+  // failure path is out of line and aborts in every build type.
   static void CheckBounds(int cpu) {
-    CHECK_GE(cpu, 0);
-    CHECK_LT(cpu, kMaxCpus);
+    if (static_cast<unsigned>(cpu) >= static_cast<unsigned>(kMaxCpus)) [[unlikely]] {
+      OutOfBounds(cpu);
+    }
+  }
+
+  [[gnu::cold, gnu::noinline, noreturn]] static void OutOfBounds(int cpu) {
+    LOG(FATAL) << "CpuMask: cpu " << cpu << " is outside [0, " << kMaxCpus << ")";
+    std::abort();  // LOG(FATAL) aborts; this tells the compiler
   }
 
   std::array<uint64_t, kMaxCpus / 64> words_;

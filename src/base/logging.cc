@@ -1,11 +1,10 @@
 #include "src/base/logging.h"
 
-#include <atomic>
-
 namespace gs {
 namespace {
 
-std::atomic<int> g_log_level{static_cast<int>(LogLevel::kInfo)};
+// Minimum level that is emitted.
+constexpr LogLevel kMinLevel = LogLevel::kInfo;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -25,12 +24,6 @@ const char* LevelName(LogLevel level) {
 
 }  // namespace
 
-LogLevel GetLogLevel() { return static_cast<LogLevel>(g_log_level.load(std::memory_order_relaxed)); }
-
-void SetLogLevel(LogLevel level) {
-  g_log_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
 namespace log_internal {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line) : level_(level) {
@@ -44,7 +37,7 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line) : level_(leve
 }
 
 LogMessage::~LogMessage() {
-  if (level_ >= GetLogLevel() || level_ == LogLevel::kFatal) {
+  if (level_ >= kMinLevel) {
     std::cerr << stream_.str() << std::endl;
   }
   if (level_ == LogLevel::kFatal) {

@@ -2,7 +2,7 @@
 //
 // CHECK* macros abort on failure and are always on; they guard simulator
 // invariants whose violation would silently corrupt an experiment. LOG(INFO)
-// writes to stderr and can be silenced with SetLogLevel().
+// and above write to stderr; LOG(DEBUG) is dropped.
 #ifndef GHOST_SIM_SRC_BASE_LOGGING_H_
 #define GHOST_SIM_SRC_BASE_LOGGING_H_
 
@@ -14,10 +14,6 @@
 namespace gs {
 
 enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kFatal = 4 };
-
-// Minimum level that is actually emitted. Defaults to kInfo.
-LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
 
 namespace log_internal {
 

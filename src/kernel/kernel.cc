@@ -84,15 +84,6 @@ Task* Kernel::CreateTask(const std::string& name, SchedClass* cls) {
   return ptr;
 }
 
-Task* Kernel::FindTask(int64_t tid) const {
-  for (Task* task : tasks_) {
-    if (task->tid() == tid) {
-      return task;
-    }
-  }
-  return nullptr;
-}
-
 void Kernel::StartBurst(Task* task, Duration duration, Task::BurstDoneFn on_done) {
   CHECK_GE(duration, 0);
   task->SetBurst(duration, std::move(on_done));
@@ -237,7 +228,7 @@ void Kernel::ReschedCpu(int cpu) {
   }, MakeSchedTag(SchedTagKind::kCpu, cpu));
 }
 
-void Kernel::SendIpi(int to_cpu, bool cross_numa, InlineCallback fn) {
+Duration Kernel::IpiDelay(int to_cpu, bool cross_numa) {
   (cross_numa ? stat_ipi_cross_numa_ : stat_ipi_local_)->Inc();
   Duration delay = cost_.ipi_flight + cost_.ipi_handle;
   if (cross_numa) {
@@ -248,8 +239,7 @@ void Kernel::SendIpi(int to_cpu, bool cross_numa, InlineCallback fn) {
     // interrupt eventually lands, just later than the cost model promises.
     delay += fault_injector_->OnIpi(to_cpu);
   }
-  loop_->ScheduleAfter(delay, std::move(fn),
-                       MakeSchedTag(SchedTagKind::kCpu, to_cpu));
+  return delay;
 }
 
 Duration Kernel::CurrentElapsed(int cpu) const {
@@ -259,8 +249,6 @@ Duration Kernel::CurrentElapsed(int cpu) const {
   }
   return now() - cs.pick_time;
 }
-
-CpuMask Kernel::IdleCpus() const { return idle_cpus_; }
 
 uint64_t Kernel::total_context_switches() const {
   uint64_t total = 0;
@@ -449,12 +437,20 @@ void Kernel::UpdateProgress(int cpu) {
 
 void Kernel::ArmCompletion(int cpu) {
   CpuState& cs = cpus_[cpu];
-  CancelCompletion(cpu);
   Task* task = cs.current;
   CHECK(task != nullptr);
   const double speed = cs.speed > 0 ? cs.speed : 1.0;
   const auto remaining = static_cast<Duration>(
       std::ceil(static_cast<double>(task->burst_remaining()) / speed));
+  // Re-arming (a sibling's SMT re-rate, a tick's stolen time) moves the
+  // pending completion in place; Reschedule draws its seq exactly where
+  // Cancel + ScheduleAfter would. An event already in the ready list cannot
+  // move, so it takes the cancel-and-schedule path.
+  if (cs.completion_event != kInvalidEventId &&
+      loop_->Reschedule(cs.completion_event, now() + remaining)) {
+    return;
+  }
+  CancelCompletion(cpu);
   cs.completion_event = loop_->ScheduleAfter(remaining, [this, cpu] { BurstComplete(cpu); },
                                              MakeSchedTag(SchedTagKind::kCpu, cpu));
 }

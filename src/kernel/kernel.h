@@ -35,6 +35,7 @@
 #include "src/kernel/task.h"
 #include "src/sim/event_loop.h"
 #include "src/sim/fault_injector.h"
+#include "src/sim/sched_tag.h"
 #include "src/sim/trace.h"
 #include "src/stats/stats.h"
 #include "src/topology/topology.h"
@@ -150,9 +151,14 @@ class Kernel {
   // Requests a pick_next_task pass on `cpu` (coalesced, zero virtual delay).
   void ReschedCpu(int cpu);
 
-  // Delivers `fn` on `to_cpu` after IPI flight + handling costs.
-  // `cross_numa` adds the cross-socket flight penalty.
-  void SendIpi(int to_cpu, bool cross_numa, InlineCallback fn);
+  // Delivers `fn` (a void() callable, built in place in its event) on
+  // `to_cpu` after IPI flight + handling costs. `cross_numa` adds the
+  // cross-socket flight penalty.
+  template <typename F>
+  void SendIpi(int to_cpu, bool cross_numa, F&& fn) {
+    loop_->ScheduleAfter(IpiDelay(to_cpu, cross_numa), std::forward<F>(fn),
+                         MakeSchedTag(SchedTagKind::kCpu, to_cpu));
+  }
 
   // Accounted runtime of the current task on `cpu` since it was last picked.
   Duration CurrentElapsed(int cpu) const;
@@ -183,7 +189,6 @@ class Kernel {
     const CpuState& cs = cpus_[cpu];
     return cs.current == nullptr && !cs.switching;
   }
-  CpuMask IdleCpus() const;
   // The same information as per-CPU CpuIdle() calls, maintained incrementally
   // as a bitmask: a global agent intersects this with its enclave mask every
   // loop iteration, which must not cost a 256-CPU scan.
@@ -202,7 +207,6 @@ class Kernel {
   Duration CpuBusyTime(int cpu) const;
 
   const std::vector<Task*>& tasks() const { return tasks_; }
-  Task* FindTask(int64_t tid) const;
 
   // Scheduling trace (sched_switch/sched_wakeup-style introspection).
   // Disabled by default; Enable() it in tests/tools that need it.
@@ -222,6 +226,9 @@ class Kernel {
   void UpdateProgress(int cpu);
   void ArmCompletion(int cpu);
   void CancelCompletion(int cpu);
+  // Counts an IPI to `to_cpu` and returns its delivery delay: the cost model
+  // plus any fault-injected delay.
+  Duration IpiDelay(int to_cpu, bool cross_numa);
   void BurstComplete(int cpu);
   void OnTick(int cpu);
   double SpeedFactor(const Task& task, int cpu) const;

@@ -44,13 +44,6 @@ void PerCpuFifoPolicy::Restore(const std::vector<Enclave::TaskInfo>& dump) {
   }
 }
 
-size_t PerCpuFifoPolicy::QueueDepth(int cpu) const {
-  if (cpu < 0 || cpu >= static_cast<int>(cpus_.size())) {
-    return 0;
-  }
-  return cpus_[cpu].runqueue.size();
-}
-
 int PerCpuFifoPolicy::NextHomeCpu() {
   const int cpu = cpu_list_[rr_next_ % cpu_list_.size()];
   ++rr_next_;

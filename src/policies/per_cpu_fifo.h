@@ -31,7 +31,6 @@ class PerCpuFifoPolicy : public Policy {
 
   uint64_t scheduled() const { return scheduled_; }
   uint64_t estale_failures() const { return estale_failures_; }
-  size_t QueueDepth(int cpu) const;
   int RunqueueDepth() const override {
     int total = 0;
     for (const CpuSched& sched : cpus_) {

@@ -418,6 +418,8 @@ void Visit(auto& v, Spec<ScenarioSpec> auto& s) {
   // Fleet comes last: its overrides start from the fully parsed base sections.
   v.Optional("fleet", s.fleet, FleetSpec{}, s);
   if (!s.fleet) {
+    v.Check(s.policy.kind != "vm_core_sched" || s.workload.kind == "vm",
+            R"("policy.kind" "vm_core_sched" requires "workload.kind" == "vm")");
     return;
   }
   v.Check(s.workload.kind == "request_service",
@@ -478,6 +480,8 @@ void Visit(auto& v, Spec<EnclaveSpec> auto& e) {
   v.Key("watchdog_timeout_ms", e.watchdog_timeout_ms);
   v.Key("watchdog_period_ms", e.watchdog_period_ms);
   v.Check(e.cpu_first >= 0, e.cpu_first, "must be >= 0");
+  v.Check(e.cpu_count >= 1 || e.cpu_count == -1, e.cpu_count,
+          "must be >= 1, or -1 for every CPU from cpu_first");
   v.Check(e.watchdog_timeout_ms >= 0, e.watchdog_timeout_ms, "must be >= 0");
 }
 

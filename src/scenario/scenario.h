@@ -103,7 +103,7 @@ struct FaultsSpec {
 };
 
 struct EnclaveSpec {
-  // CPUs [cpu_first, cpu_first + cpu_count). cpu_count < 0 = all remaining
+  // CPUs [cpu_first, cpu_first + cpu_count). cpu_count -1 = all remaining
   // CPUs from cpu_first up. CPU 0 is conventionally left to the load
   // generator / housekeeping, matching the bench setups.
   int cpu_first = 1;

@@ -5,17 +5,16 @@
 
 namespace gs {
 
-namespace {
-
-// Highest set bit / kLevelBits; level 0 for delta == 0.
-inline int LevelForDelta(uint64_t delta) {
-  if (delta == 0) {
+int EventLoop::LevelForDelta(uint64_t delta) {
+  if (delta < kLevel0Slots) {
     return 0;
   }
-  return (63 - __builtin_clzll(delta)) / 6;
+  return 1 + (63 - __builtin_clzll(delta) - kLevel0Bits) / kUpperBits;
 }
 
-}  // namespace
+int EventLoop::LevelShift(int level) {
+  return level == 0 ? 0 : kLevel0Bits + kUpperBits * (level - 1);
+}
 
 EventLoop::EventLoop() { buckets_.fill(kNil); }
 
@@ -26,43 +25,76 @@ uint32_t EventLoop::AllocSlot() {
     return idx;
   }
   CHECK_LT(slots_.size(), static_cast<size_t>(kNil)) << "event slab exhausted";
+  const auto idx = static_cast<uint32_t>(slots_.size());
+  if (idx % kChunkSize == 0) {
+    bodies_.push_back(std::make_unique<BodyChunk>());
+  }
   slots_.emplace_back();
-  return static_cast<uint32_t>(slots_.size() - 1);
+  return idx;
 }
 
-void EventLoop::FreeSlot(uint32_t idx) {
+void EventLoop::Recycle(uint32_t idx) {
+  BodyOf(idx).fn.Reset();  // release captures promptly (shared_ptr chains etc.)
   EventSlot& s = slots_[idx];
-  s.fn.Reset();  // release captures promptly (shared_ptr chains etc.)
-  if (++s.gen == 0) {
-    s.gen = 1;  // keep MakeId(0, gen) != kInvalidEventId
-  }
   s.state = SlotState::kFree;
   s.prev = kNil;
   s.next = free_head_;
   free_head_ = idx;
 }
 
-EventId EventLoop::ScheduleInternal(Time when, Duration period,
-                                    InlineCallback fn, uint64_t tag) {
+uint32_t EventLoop::NewEvent(Time when, Duration period, uint64_t tag) {
   CHECK_GE(when, now_) << "cannot schedule into the past";
+  const Duration delay = when - now_;
+  // Branch-free: delay - 1 wraps to a huge value for delay 0.
+  work_.scheduled_zero += delay == 0;
+  work_.scheduled_near += static_cast<uint64_t>(delay - 1) < kLevel0Span - 1;
+  work_.scheduled_far += delay >= kLevel0Span;
   const uint32_t idx = AllocSlot();
   EventSlot& s = slots_[idx];
   s.when = when;
   s.seq = next_seq_++;
-  s.tag = tag;
-  s.period = period;
-  s.cancel_while_firing = false;
-  s.fn = std::move(fn);
+  s.periodic = period > 0;
+  EventBody& body = BodyOf(idx);
+  body.period = period;
+  body.tag = tag;
   ++pending_count_;
-  if (!ready_.empty() && when == ready_time_) {
+  return idx;
+}
+
+void EventLoop::Enqueue(uint32_t idx) {
+  EventSlot& s = slots_[idx];
+  if (!ready_.empty() && s.when == ready_time_) {
     // The bucket for `when` is the one being fired right now; append so the
-    // new event (highest seq) runs after the bucket's remaining events.
+    // event (highest seq) runs after the bucket's remaining events.
     s.state = SlotState::kInReady;
     ready_.push_back(ReadyEntry{idx, s.gen, s.seq});
-  } else {
-    InsertIntoWheel(idx);
+    return;
   }
-  return MakeId(idx, s.gen);
+  ++work_.wheel_inserts;
+  InsertIntoWheel(idx);
+}
+
+void EventLoop::MarkOccupied(int bucket) {
+  if (bucket < kLevel0Slots) {
+    occupied0_[bucket / 64] |= uint64_t{1} << (bucket % 64);
+    occupied0_summary_ |= uint64_t{1} << (bucket / 64);
+  } else {
+    const int upper = bucket - kLevel0Slots;
+    occupied_[upper / kUpperSlots] |= uint64_t{1} << (upper % kUpperSlots);
+  }
+}
+
+void EventLoop::MarkEmpty(int bucket) {
+  if (bucket < kLevel0Slots) {
+    uint64_t& word = occupied0_[bucket / 64];
+    word &= ~(uint64_t{1} << (bucket % 64));
+    if (word == 0) {
+      occupied0_summary_ &= ~(uint64_t{1} << (bucket / 64));
+    }
+  } else {
+    const int upper = bucket - kLevel0Slots;
+    occupied_[upper / kUpperSlots] &= ~(uint64_t{1} << (upper % kUpperSlots));
+  }
 }
 
 void EventLoop::InsertIntoWheel(uint32_t idx) {
@@ -74,21 +106,25 @@ void EventLoop::InsertIntoWheel(uint32_t idx) {
     wheel_time_ = now_;
   }
   EventSlot& s = slots_[idx];
-  const uint64_t delta =
-      static_cast<uint64_t>(s.when) ^ static_cast<uint64_t>(wheel_time_);
-  const int level = LevelForDelta(delta);
-  const int slot =
-      static_cast<int>((s.when >> (kLevelBits * level)) & (kSlotsPerLevel - 1));
-  const int b = level * kSlotsPerLevel + slot;
+  const auto when = static_cast<uint64_t>(s.when);
+  const int level = LevelForDelta(when ^ static_cast<uint64_t>(wheel_time_));
+  int bucket;
+  if (level == 0) {
+    bucket = static_cast<int>(when & (kLevel0Slots - 1));
+  } else {
+    bucket = kLevel0Slots + (level - 1) * kUpperSlots +
+             static_cast<int>((when >> LevelShift(level)) & (kUpperSlots - 1));
+  }
   s.state = SlotState::kInWheel;
-  s.bucket = static_cast<uint16_t>(b);
+  s.bucket = static_cast<uint16_t>(bucket);
   s.prev = kNil;
-  s.next = buckets_[b];
+  s.next = buckets_[bucket];
   if (s.next != kNil) {
     slots_[s.next].prev = idx;
+  } else {
+    MarkOccupied(bucket);
   }
-  buckets_[b] = idx;
-  occupied_[level] |= uint64_t{1} << slot;
+  buckets_[bucket] = idx;
   ++wheel_count_;
 }
 
@@ -103,30 +139,48 @@ void EventLoop::UnlinkFromWheel(uint32_t idx) {
     slots_[s.next].prev = s.prev;
   }
   if (buckets_[s.bucket] == kNil) {
-    occupied_[s.bucket / kSlotsPerLevel] &=
-        ~(uint64_t{1} << (s.bucket % kSlotsPerLevel));
+    MarkEmpty(s.bucket);
   }
   --wheel_count_;
 }
 
 EventLoop::WheelPos EventLoop::NextOccupiedSlot() const {
-  // Lowest occupied level wins: level L-1 events all precede the next 64^L
-  // boundary, which every occupied level-L slot starts at or after.
-  for (int level = 0; level < kLevels; ++level) {
+  // Lowest occupied level wins: level L-1 events all precede the next
+  // level-L slot boundary, which every occupied level-L slot starts at or
+  // after.
+  const auto cursor_time = static_cast<uint64_t>(wheel_time_);
+  const int cursor0 = static_cast<int>(cursor_time & (kLevel0Slots - 1));
+  const int word = cursor0 / 64;
+  int slot = -1;
+  if (const uint64_t bits = occupied0_[word] & (~uint64_t{0} << (cursor0 % 64))) {
+    slot = word * 64 + __builtin_ctzll(bits);
+  } else if (const uint64_t words =
+                 word == 63 ? 0 : occupied0_summary_ & (~uint64_t{0} << (word + 1))) {
+    const int w = __builtin_ctzll(words);
+    slot = w * 64 + __builtin_ctzll(occupied0_[w]);
+  }
+  if (slot >= 0) {
+    const Time start = static_cast<Time>(
+        (cursor_time & ~static_cast<uint64_t>(kLevel0Slots - 1)) |
+        static_cast<uint64_t>(slot));
+    return WheelPos{0, slot, start};
+  }
+  for (int level = 1; level <= kUpperLevels; ++level) {
+    const int shift = LevelShift(level);
     const int cursor =
-        static_cast<int>((wheel_time_ >> (kLevelBits * level)) &
-                         (kSlotsPerLevel - 1));
-    const uint64_t ahead = occupied_[level] >> cursor;
+        static_cast<int>((cursor_time >> shift) & (kUpperSlots - 1));
+    const uint64_t ahead = occupied_[level - 1] >> cursor;
     if (ahead == 0) {
       continue;
     }
-    const int slot = cursor + __builtin_ctzll(ahead);
-    const int shift = kLevelBits * (level + 1);
-    const uint64_t upper_mask = shift >= 64 ? 0 : (~uint64_t{0} << shift);
+    const int upper_slot = cursor + __builtin_ctzll(ahead);
+    const int upper_shift = shift + kUpperBits;
+    const uint64_t upper_mask =
+        upper_shift >= 64 ? 0 : (~uint64_t{0} << upper_shift);
     const Time start = static_cast<Time>(
-        (static_cast<uint64_t>(wheel_time_) & upper_mask) |
-        (static_cast<uint64_t>(slot) << (kLevelBits * level)));
-    return WheelPos{level, slot, start};
+        (cursor_time & upper_mask) |
+        (static_cast<uint64_t>(upper_slot) << shift));
+    return WheelPos{level, upper_slot, start};
   }
   LOG(FATAL) << "wheel_count_=" << wheel_count_ << " but no occupied slot";
   return WheelPos{-1, -1, 0};
@@ -134,15 +188,16 @@ EventLoop::WheelPos EventLoop::NextOccupiedSlot() const {
 
 void EventLoop::CascadeSlot(const WheelPos& pos) {
   wheel_time_ = pos.start;
-  const int b = pos.level * kSlotsPerLevel + pos.slot;
+  const int b = kLevel0Slots + (pos.level - 1) * kUpperSlots + pos.slot;
   uint32_t head = buckets_[b];
   buckets_[b] = kNil;
-  occupied_[pos.level] &= ~(uint64_t{1} << pos.slot);
+  MarkEmpty(b);
   while (head != kNil) {
     const uint32_t next = slots_[head].next;
     --wheel_count_;
+    ++work_.cascade_reinserts;
     // Re-inserts relative to the advanced wheel_time_, landing at a strictly
-    // lower level (every event here is within the slot's 64^level range).
+    // lower level (every event here is within the slot's range).
     InsertIntoWheel(head);
     head = next;
   }
@@ -156,7 +211,7 @@ void EventLoop::CollectBucket(const WheelPos& pos) {
   const int b = pos.slot;  // level 0
   uint32_t head = buckets_[b];
   buckets_[b] = kNil;
-  occupied_[0] &= ~(uint64_t{1} << pos.slot);
+  MarkEmpty(b);
   while (head != kNil) {
     EventSlot& s = slots_[head];
     const uint32_t next = s.next;
@@ -168,8 +223,17 @@ void EventLoop::CollectBucket(const WheelPos& pos) {
   }
   // Level-0 buckets are exact, so entries share a timestamp; seq order is
   // global FIFO order no matter which levels each event cascaded through.
-  std::sort(ready_.begin(), ready_.end(),
-            [](const ReadyEntry& a, const ReadyEntry& b) { return a.seq < b.seq; });
+  // Buckets link at the head, so direct inserts arrive newest first:
+  // reversing makes the common case already sorted for the insertion sort.
+  std::reverse(ready_.begin(), ready_.end());
+  for (size_t i = 1; i < ready_.size(); ++i) {
+    const ReadyEntry e = ready_[i];
+    size_t j = i;
+    for (; j > 0 && ready_[j - 1].seq > e.seq; --j) {
+      ready_[j] = ready_[j - 1];
+    }
+    ready_[j] = e;
+  }
 }
 
 void EventLoop::SkipStaleReady() {
@@ -200,7 +264,7 @@ void EventLoop::FireReadyNext() {
     const ReadyEntry& e = ready_[i];
     const EventSlot& s = slots_[e.slot];
     if (s.state == SlotState::kInReady && s.gen == e.gen) {
-      oracle_cands_.push_back(ScheduleOracle::Candidate{s.tag, e.seq});
+      oracle_cands_.push_back(ScheduleOracle::Candidate{BodyOf(e.slot).tag, e.seq});
       oracle_positions_.push_back(i);
     }
   }
@@ -224,30 +288,33 @@ void EventLoop::FireReadyEntry(ReadyEntry e) {
   CHECK_GE(fire_time, now_);
   now_ = fire_time;
   --pending_count_;
-  ++executed_count_;
-  InlineCallback fn = std::move(s.fn);
-  if (s.period > 0) {
-    s.state = SlotState::kFiring;
-    s.cancel_while_firing = false;
-    fn();
-    // Re-fetch: the callback may have scheduled events and grown the slab.
+  ++work_.fired;
+  s.state = SlotState::kFiring;
+  // The callback runs in place: its chunk never moves, and its slot is off
+  // the free list until the call returns, even if the callback schedules
+  // enough events to grow slots_ (so `s` is re-fetched afterwards).
+  const EventBody& body = BodyOf(idx);
+  if (s.periodic) {
+    body.fn();
     EventSlot& s2 = slots_[idx];
-    if (s2.cancel_while_firing) {
-      FreeSlot(idx);
+    if (s2.state == SlotState::kFiringCancelled) {
+      RetireId(s2);
+      Recycle(idx);
     } else {
       // Re-arm in place: same id, fresh seq drawn after the callback — the
       // same tie-break order a self-rescheduling callback would get.
-      s2.fn = std::move(fn);
-      s2.when = fire_time + s2.period;
+      s2.when = fire_time + body.period;
       s2.seq = next_seq_++;
       ++pending_count_;
+      ++work_.wheel_inserts;
       InsertIntoWheel(idx);
     }
   } else {
-    // Free before invoking so Cancel(own id) inside the callback reports
-    // "already fired" and the slot is immediately reusable.
-    FreeSlot(idx);
-    fn();
+    // Kill the id before invoking so Cancel(own id) and Reschedule(own id)
+    // inside the callback report "already fired".
+    RetireId(s);
+    body.fn();
+    Recycle(idx);
   }
 }
 
@@ -264,26 +331,45 @@ bool EventLoop::Cancel(EventId id) {
   switch (s.state) {
     case SlotState::kInWheel:
       UnlinkFromWheel(idx);
-      FreeSlot(idx);
-      --pending_count_;
-      return true;
+      [[fallthrough]];
     case SlotState::kInReady:
-      // Its ReadyEntry goes stale (generation mismatch) and is skipped.
-      FreeSlot(idx);
+      // A ready entry goes stale (generation mismatch) and is skipped.
+      RetireId(s);
+      Recycle(idx);
       --pending_count_;
+      ++work_.cancelled;
       return true;
     case SlotState::kFiring:
-      // Periodic event cancelled from inside its own callback: suppress the
-      // re-arm. (Its pending_count_ share was already consumed by the fire.)
-      if (s.cancel_while_firing) {
-        return false;
-      }
-      s.cancel_while_firing = true;
+      // Periodic event cancelled from inside its own callback (a one-shot's
+      // id is already dead): suppress the re-arm. Its pending_count_ share
+      // was already consumed by the fire.
+      s.state = SlotState::kFiringCancelled;
+      ++work_.cancelled;
       return true;
+    case SlotState::kFiringCancelled:
     case SlotState::kFree:
       return false;
   }
   return false;
+}
+
+bool EventLoop::Reschedule(EventId id, Time when) {
+  CHECK_GE(when, now_) << "cannot schedule into the past";
+  const uint32_t idx = static_cast<uint32_t>(id);
+  const uint32_t gen = static_cast<uint32_t>(id >> 32);
+  if (idx >= slots_.size()) {
+    return false;
+  }
+  EventSlot& s = slots_[idx];
+  if (s.gen != gen || s.state != SlotState::kInWheel || s.periodic) {
+    return false;
+  }
+  UnlinkFromWheel(idx);
+  s.when = when;
+  s.seq = next_seq_++;
+  ++work_.rescheduled;
+  Enqueue(idx);
+  return true;
 }
 
 bool EventLoop::RunOne() {

@@ -7,24 +7,40 @@
 // experiment bit-for-bit reproducible.
 //
 // Implementation: a hierarchical timing wheel over a pooled slab of event
-// slots, built for the simulator's bimodal delay distribution (1 ms periodic
-// ticks + sub-10 µs scheduler events):
+// slots, built for the simulator's delay distribution (100 ns–10 µs kernel
+// and ghOSt latencies, 10–100 µs bursts, 1 ms periodic ticks):
 //
-//  * Scheduling never allocates in steady state: callbacks are stored inline
-//    in the slot (InlineCallback, no heap fallback), and slots are recycled
-//    through a free list.
-//  * EventId = (slot generation << 32) | slot index, so Cancel() is a true
-//    O(1) unlink — no hash lookups, no tombstones surfacing on the pop path.
-//  * kLevels wheel levels of 64 slots each (level L has 64^L ns resolution)
-//    cover any int64 horizon. Level-0 buckets are exact (1 ns), so a bucket
-//    holds only events with identical timestamps; firing order within it is
-//    by sequence number, preserving global (time, seq) FIFO regardless of
-//    which levels an event cascaded through.
+//  * Level 0 is 4096 exact 1 ns slots (a 4.096 µs span) behind a two-level
+//    occupancy bitmap; levels 1..9 have 64 slots each, so level L >= 1 has
+//    4096 * 64^(L-1) ns resolution and the ten levels cover any int64
+//    horizon. IPIs, context switches and most latch delays land directly in
+//    their final bucket. A level-0 bucket holds only events with identical
+//    timestamps; firing order within it is by sequence number, preserving
+//    global (time, seq) FIFO regardless of which levels an event cascaded
+//    through.
+//  * EventId = (slot generation << 32) | slot index, so Cancel() and
+//    Reschedule() are O(1) — no hash lookups, no tombstones on the pop path.
+//  * Callbacks live apart from the 32-byte slot metadata the wheel walks, in
+//    fixed chunks of 32 that never move. Schedule* are templates that build
+//    the callable directly in its chunk entry (InlineFunction::Emplace, no
+//    heap fallback), and the loop calls it there, so a callback is never
+//    moved and may grow the slot table while it runs. Slots are recycled
+//    through a free list: steady-state scheduling never allocates.
+//  * A one-shot event's id dies (its generation bumps) just before its
+//    callback runs, so Cancel(own id) inside the callback returns false; the
+//    slot rejoins the free list, captures released, right after the call.
 //  * SchedulePeriodic() re-arms in place after each firing (same id, fresh
-//    seq), eliminating the per-period push/pop/alloc churn of self-
-//    rescheduling callbacks. The re-arm draws its sequence number *after*
-//    the callback returns, exactly as a self-rescheduling callback would,
-//    so converting a call site does not perturb tie-break order.
+//    seq). The re-arm draws its sequence number *after* the callback returns,
+//    exactly as a self-rescheduling callback would, so converting a call site
+//    does not perturb tie-break order.
+//  * Reschedule(id, when) moves a pending one-shot event, keeping its id and
+//    callback, and draws a fresh seq at exactly the point where Cancel(id)
+//    followed by ScheduleAt(when, same callback) would: the two are
+//    indistinguishable in firing order. It refuses (returns false) an event
+//    that already sits in the ready list; callers then Cancel and Schedule.
+//
+// work() exposes plain counts of the engine's work. For a given program they
+// are the same on every host; they are not StatsRegistry metrics.
 //
 // The previous binary-heap engine survives as ReferenceEventLoop
 // (src/sim/reference_event_loop.h) for differential testing.
@@ -33,6 +49,8 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/base/inline_callback.h"
@@ -68,6 +86,27 @@ class ScheduleOracle {
 
 class EventLoop {
  public:
+  // Level 0 spans this many nanoseconds in exact 1 ns slots.
+  static constexpr Duration kLevel0Span = 4096;
+
+  // Counts of the engine's work since construction.
+  struct Work {
+    uint64_t scheduled_zero = 0;  // Schedule* with delay 0
+    uint64_t scheduled_near = 0;  // delay in (0, kLevel0Span)
+    uint64_t scheduled_far = 0;   // delay >= kLevel0Span
+    uint64_t fired = 0;
+    uint64_t cancelled = 0;    // Cancel() calls that returned true
+    uint64_t rescheduled = 0;  // Reschedule() calls that returned true
+    // Direct wheel inserts: schedules that miss the ready list, periodic
+    // re-arms and reschedules.
+    uint64_t wheel_inserts = 0;
+    uint64_t cascade_reinserts = 0;  // moves of an event down a level
+
+    uint64_t scheduled() const {
+      return scheduled_zero + scheduled_near + scheduled_far;
+    }
+  };
+
   EventLoop();
 
   EventLoop(const EventLoop&) = delete;
@@ -75,36 +114,42 @@ class EventLoop {
 
   Time now() const { return now_; }
 
-  // Schedules `fn` to run at absolute time `when` (must be >= now()).
+  // Schedules `fn` to run at absolute time `when` (must be >= now()). `fn`
+  // is any void() callable that fits InlineCallback; it is constructed in
+  // place in the event's callback slot.
   //
   // `tag` is an optional dependence label handed to an installed
   // ScheduleOracle (see src/sim/sched_tag.h for the taxonomy); it has no
   // effect on execution and defaults to 0 (unclassified).
-  EventId ScheduleAt(Time when, InlineCallback fn, uint64_t tag = 0) {
-    return ScheduleInternal(when, /*period=*/0, std::move(fn), tag);
+  template <typename F>
+  EventId ScheduleAt(Time when, F&& fn, uint64_t tag = 0) {
+    return Schedule(when, /*period=*/0, std::forward<F>(fn), tag);
   }
 
   // Schedules `fn` to run `delay` from now.
-  EventId ScheduleAfter(Duration delay, InlineCallback fn, uint64_t tag = 0) {
+  template <typename F>
+  EventId ScheduleAfter(Duration delay, F&& fn, uint64_t tag = 0) {
     CHECK_GE(delay, 0);
-    return ScheduleInternal(now_ + delay, /*period=*/0, std::move(fn), tag);
+    return Schedule(now_ + delay, /*period=*/0, std::forward<F>(fn), tag);
   }
 
   // Schedules `fn` to fire first at `first` and then every `period` after
   // each firing, re-arming in place: the returned id stays valid (and
   // cancellable) across firings. Cancelling from inside the callback stops
   // the re-arm.
-  EventId SchedulePeriodicAt(Time first, Duration period, InlineCallback fn,
+  template <typename F>
+  EventId SchedulePeriodicAt(Time first, Duration period, F&& fn,
                              uint64_t tag = 0) {
     CHECK_GT(period, 0);
-    return ScheduleInternal(first, period, std::move(fn), tag);
+    return Schedule(first, period, std::forward<F>(fn), tag);
   }
 
-  EventId SchedulePeriodic(Duration initial_delay, Duration period,
-                           InlineCallback fn, uint64_t tag = 0) {
+  template <typename F>
+  EventId SchedulePeriodic(Duration initial_delay, Duration period, F&& fn,
+                           uint64_t tag = 0) {
     CHECK_GE(initial_delay, 0);
-    return SchedulePeriodicAt(now_ + initial_delay, period, std::move(fn),
-                              tag);
+    return SchedulePeriodicAt(now_ + initial_delay, period,
+                              std::forward<F>(fn), tag);
   }
 
   // Installs (or clears, with nullptr) the schedule-exploration oracle. The
@@ -119,6 +164,14 @@ class EventLoop {
   // cancelling during or after any individual firing still returns true and
   // stops future firings.
   bool Cancel(EventId id);
+
+  // Moves a pending one-shot event to `when` (>= now()). The id and callback
+  // stay; the event draws a fresh seq now, so it fires exactly where
+  // Cancel(id) + ScheduleAt(when, <same callback>) would have put it.
+  // Returns false, changing nothing, for a fired, cancelled, unknown or
+  // periodic event, and for one already in the ready list of the instant
+  // being fired; the caller then cancels and schedules anew.
+  bool Reschedule(EventId id, Time when);
 
   // Runs the next pending event, advancing the clock. Returns false if idle.
   bool RunOne();
@@ -135,34 +188,56 @@ class EventLoop {
 
   bool empty() const { return pending_count_ == 0; }
   size_t pending_count() const { return pending_count_; }
-  uint64_t executed_count() const { return executed_count_; }
+  uint64_t executed_count() const { return work_.fired; }
+  const Work& work() const { return work_; }
 
  private:
-  static constexpr int kLevelBits = 6;
-  static constexpr int kSlotsPerLevel = 1 << kLevelBits;  // 64
-  // 64^11 = 2^66 > 2^63: enough levels for any int64 timestamp.
-  static constexpr int kLevels = 11;
+  static constexpr int kLevel0Bits = 12;
+  static constexpr int kLevel0Slots = 1 << kLevel0Bits;  // 4096
+  static_assert(kLevel0Slots == kLevel0Span);
+  static constexpr int kUpperBits = 6;
+  static constexpr int kUpperSlots = 1 << kUpperBits;  // 64
+  // 12 + 9 * 6 = 66 bits > 63: enough levels for any int64 timestamp.
+  static constexpr int kUpperLevels = 9;
+  static constexpr int kNumBuckets = kLevel0Slots + kUpperLevels * kUpperSlots;
   static constexpr uint32_t kNil = 0xffffffffu;
+  static constexpr int kChunkBits = 5;
+  static constexpr uint32_t kChunkSize = 1u << kChunkBits;  // 32 callbacks
 
   enum class SlotState : uint8_t {
-    kFree,     // on the free list
-    kInWheel,  // linked into a wheel bucket
-    kInReady,  // in the ready list of the bucket being fired
-    kFiring,   // periodic event currently running its callback
+    kFree,             // on the free list
+    kInWheel,          // linked into a wheel bucket
+    kInReady,          // in the ready list of the bucket being fired
+    kFiring,           // callback running (a one-shot's id is already dead)
+    kFiringCancelled,  // periodic cancelled from its own callback: no re-arm
   };
 
+  // What the wheel walks, 32 bytes. The rest of the event sits at the same
+  // index in bodies_.
   struct EventSlot {
     Time when = 0;
     uint64_t seq = 0;    // tiebreaker: FIFO among equal timestamps
-    uint64_t tag = 0;    // dependence label for ScheduleOracle (0 = none)
-    Duration period = 0; // > 0 => periodic
-    uint32_t gen = 1;    // bumped on free; stale ids fail the match
+    uint32_t gen = 1;    // bumped when the id dies; stale ids fail the match
     uint32_t next = kNil;  // bucket list when kInWheel; free list when kFree
     uint32_t prev = kNil;
     uint16_t bucket = 0;   // which wheel bucket holds this slot (for unlink)
     SlotState state = SlotState::kFree;
-    bool cancel_while_firing = false;
+    bool periodic = false;
+  };
+
+  // What only scheduling and firing touch: two cache lines, with a capture
+  // of up to 32 bytes in the first beside the period and the call pointer.
+  struct alignas(64) EventBody {
+    Duration period = 0;  // > 0 => periodic
+    uint64_t tag = 0;     // dependence label for ScheduleOracle (0 = none)
     InlineCallback fn;
+  };
+
+  static_assert(sizeof(EventSlot) == 32);
+  static_assert(sizeof(EventBody) == 128);
+
+  struct BodyChunk {
+    std::array<EventBody, kChunkSize> bodies;
   };
 
   struct ReadyEntry {
@@ -181,12 +256,43 @@ class EventLoop {
     return (static_cast<EventId>(gen) << 32) | idx;
   }
 
-  EventId ScheduleInternal(Time when, Duration period, InlineCallback fn,
-                           uint64_t tag);
+  template <typename F>
+  EventId Schedule(Time when, Duration period, F&& fn, uint64_t tag) {
+    const uint32_t idx = NewEvent(when, period, tag);
+    BodyOf(idx).fn.Emplace(std::forward<F>(fn));
+    Enqueue(idx);
+    return MakeId(idx, slots_[idx].gen);
+  }
+
+  EventBody& BodyOf(uint32_t idx) {
+    return bodies_[idx >> kChunkBits]->bodies[idx & (kChunkSize - 1)];
+  }
+
+  // Wheel level of an event whose timestamp first differs from the cursor in
+  // the bits of `delta` (timestamp XOR cursor): 0 within the cursor's level-0
+  // block, else one level per further kUpperBits bits.
+  static int LevelForDelta(uint64_t delta);
+  // Lowest timestamp bit of the slot digit at `level`.
+  static int LevelShift(int level);
+  // Takes a slot for an event at `when` and draws its seq.
+  uint32_t NewEvent(Time when, Duration period, uint64_t tag);
+  // Puts a pending event where it fires from: the ready list when `when` is
+  // the instant being fired, else the wheel.
+  void Enqueue(uint32_t idx);
   uint32_t AllocSlot();
-  void FreeSlot(uint32_t idx);
+  // Kills the slot's current id. Generation 0 is skipped so that
+  // MakeId(0, gen) never equals kInvalidEventId.
+  static void RetireId(EventSlot& s) {
+    if (++s.gen == 0) {
+      s.gen = 1;
+    }
+  }
+  // Releases the callback and pushes the slot onto the free list.
+  void Recycle(uint32_t idx);
   void InsertIntoWheel(uint32_t idx);
   void UnlinkFromWheel(uint32_t idx);
+  void MarkOccupied(int bucket);
+  void MarkEmpty(int bucket);
   // Lowest-level occupied wheel slot at/after the cursor. Requires
   // wheel_count_ > 0.
   WheelPos NextOccupiedSlot() const;
@@ -213,13 +319,20 @@ class EventLoop {
   uint64_t next_seq_ = 0;
   size_t pending_count_ = 0;  // live (scheduled, unfired) events
   size_t wheel_count_ = 0;    // live events resident in the wheel
-  uint64_t executed_count_ = 0;
+  Work work_;
 
   std::vector<EventSlot> slots_;
+  // Chunks never move, so a running callback stays put while slots_ grows.
+  std::vector<std::unique_ptr<BodyChunk>> bodies_;
   uint32_t free_head_ = kNil;
 
-  std::array<uint32_t, kLevels * kSlotsPerLevel> buckets_;
-  std::array<uint64_t, kLevels> occupied_{};
+  // Level-0 buckets first, then kUpperSlots per upper level.
+  std::array<uint32_t, kNumBuckets> buckets_;
+  // Level-0 occupancy: bit s%64 of word s/64 per slot s, and bit w of the
+  // summary when word w is nonzero.
+  std::array<uint64_t, kLevel0Slots / 64> occupied0_{};
+  uint64_t occupied0_summary_ = 0;
+  std::array<uint64_t, kUpperLevels> occupied_{};  // levels 1..kUpperLevels
 
   // The bucket currently being fired (all entries share ready_time_),
   // ascending seq from ready_pos_.

@@ -6,22 +6,6 @@
 
 namespace gs {
 
-const char* ToString(PlacementDistance distance) {
-  switch (distance) {
-    case PlacementDistance::kSameCpu:
-      return "same-cpu";
-    case PlacementDistance::kSameCore:
-      return "same-core";
-    case PlacementDistance::kSameCcx:
-      return "same-ccx";
-    case PlacementDistance::kSameNuma:
-      return "same-numa";
-    case PlacementDistance::kCrossNuma:
-      return "cross-numa";
-  }
-  return "?";
-}
-
 Topology Topology::Make(std::string name, int sockets, int cores_per_socket, int smt,
                         int cores_per_ccx) {
   CHECK_GE(sockets, 1);

@@ -27,8 +27,6 @@ enum class PlacementDistance {
   kCrossNuma = 4,  // remote socket
 };
 
-const char* ToString(PlacementDistance distance);
-
 struct CpuInfo {
   int id = -1;
   int core = -1;       // physical core index (machine-wide)

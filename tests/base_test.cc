@@ -231,6 +231,15 @@ TEST(CpuMaskTest, Operators) {
   EXPECT_EQ(CpuMask::AllUpTo(4).ToString(), "{0,1,2,3}");
 }
 
+TEST(CpuMaskTest, OutOfRangeCpuAbortsInEveryBuildType) {
+  CpuMask mask;
+  mask.Set(CpuMask::kMaxCpus - 1);
+  EXPECT_TRUE(mask.IsSet(CpuMask::kMaxCpus - 1));
+  EXPECT_DEATH(mask.Set(CpuMask::kMaxCpus), "CpuMask: cpu 512 is outside \\[0, 512\\)");
+  EXPECT_DEATH((void)mask.IsSet(-1), "CpuMask: cpu -1 is outside");
+  EXPECT_DEATH(mask.Clear(1 << 20), "CpuMask: cpu 1048576 is outside");
+}
+
 TEST(RingDequeTest, RemovalReleasesWhatASlotOwns) {
   auto value = std::make_shared<int>(7);
   RingDeque<std::shared_ptr<int>> dq;

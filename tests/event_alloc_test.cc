@@ -7,8 +7,9 @@
 // through a warmed loop, requiring an allocation delta of exactly zero.
 //
 // Runs the workload the engine sees in production: staggered periodic ticks
-// (one per simulated CPU) whose callbacks schedule oneshot events, plus a
-// schedule+cancel pair to exercise the free list.
+// (one per simulated CPU) whose callbacks schedule oneshot events, a
+// schedule+cancel pair to exercise the free list, and a completion event
+// re-armed in place with Reschedule.
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -46,6 +47,25 @@ void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
 void operator delete[](void* p) noexcept { operator delete(p); }
 void operator delete[](void* p, std::size_t) noexcept { operator delete(p); }
 
+// Over-aligned types (the event engine's callback chunks) come through the
+// align_val_t forms; count them too.
+void* operator new(std::size_t size, std::align_val_t align) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(align);
+  if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return operator new(size, align);
+}
+void operator delete(void* p, std::align_val_t) noexcept { operator delete(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { operator delete(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { operator delete(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { operator delete(p); }
+
 namespace gs {
 namespace {
 
@@ -57,6 +77,7 @@ TEST(EventAllocTest, SteadyStateIsAllocationFree) {
   struct TickState {
     EventLoop* loop;
     EventId pending = kInvalidEventId;
+    EventId completion = kInvalidEventId;
     uint64_t fired = 0;
   };
   std::vector<TickState> cpus(kCpus, TickState{&loop});
@@ -72,6 +93,11 @@ TEST(EventAllocTest, SteadyStateIsAllocationFree) {
         st->loop->Cancel(st->pending);
       }
       st->pending = st->loop->ScheduleAfter(10 * kPeriod, [st] { ++st->fired; });
+      // ...and a completion that each tick pushes back before it can fire.
+      const Time when = st->loop->now() + 3 * kPeriod;
+      if (!st->loop->Reschedule(st->completion, when)) {
+        st->completion = st->loop->ScheduleAt(when, [st] { ++st->fired; });
+      }
     });
   }
 

@@ -1,13 +1,17 @@
 // Differential fuzz: the timing-wheel EventLoop against ReferenceEventLoop
 // (the original binary-heap engine, kept for exactly this purpose).
 //
-// A random program of schedule/cancel/run operations — including periodic
-// timers and callback-driven spawns and cancels — is generated up front and
-// interpreted against both engines. Every observable must match exactly:
-// the (time, tag) firing sequence, every Cancel return value, now(), and
-// pending_count. Any divergence is a determinism bug in one of the engines.
+// A random program of schedule/cancel/reschedule/run operations — including
+// periodic timers and callback-driven spawns, cancels and reschedules — is
+// generated up front and interpreted against both engines. A reschedule is
+// EventLoop::Reschedule on the wheel (falling back to Cancel + ScheduleAt
+// when it refuses, as Kernel::ArmCompletion does) and Cancel + ScheduleAt on
+// the reference. Every observable must match exactly: the (time, tag) firing
+// sequence, every Cancel / reschedule result, now(), and pending_count. Any
+// divergence is a determinism bug in one of the engines.
 #include <cstdint>
 #include <map>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -28,13 +32,15 @@ struct EventSpec {
   int cancel_self_after = 0;   // periodic: self-cancel after N fires (0 = never)
   int spawn_spec = -1;         // on first fire, schedule specs[spawn_spec]
   int cancel_tag = -1;         // on first fire, cancel the event with this tag
+  int move_tag = -1;           // on first fire, reschedule this tag's event
+  Duration move_delta = 0;     // ...to now() + move_delta
 };
 
 struct Op {
-  enum Kind { kSchedule, kCancel, kRunUntil, kRunOne } kind;
+  enum Kind { kSchedule, kCancel, kReschedule, kRunUntil, kRunOne } kind;
   int spec = -1;        // kSchedule: index into specs
-  int cancel_tag = -1;  // kCancel
-  Duration run_delta = 0;  // kRunUntil
+  int cancel_tag = -1;  // kCancel, kReschedule
+  Duration run_delta = 0;  // kRunUntil; kReschedule: the new delay
 };
 
 struct Program {
@@ -63,7 +69,7 @@ Program GenerateProgram(uint64_t seed, int num_ops) {
   Rng rng(seed);
   Program p;
   for (int i = 0; i < num_ops; ++i) {
-    const uint64_t dice = rng.NextBounded(10);
+    const uint64_t dice = rng.NextBounded(12);
     if (dice < 5) {
       EventSpec spec;
       spec.delta = RandomDelta(rng);
@@ -84,12 +90,21 @@ Program GenerateProgram(uint64_t seed, int num_ops) {
         // Callback cancels a random earlier tag (any state: live/fired/...).
         spec.cancel_tag = static_cast<int>(rng.NextBounded(p.specs.size() + 1));
       }
+      if (rng.NextBounded(4) == 0) {
+        // Callback moves a random earlier tag, possibly to this instant.
+        spec.move_tag = static_cast<int>(rng.NextBounded(p.specs.size() + 1));
+        spec.move_delta = RandomDelta(rng);
+      }
       p.specs.push_back(spec);
       p.ops.push_back(Op{Op::kSchedule, static_cast<int>(p.specs.size() - 1), -1, 0});
     } else if (dice < 7) {
       p.ops.push_back(
           Op{Op::kCancel, -1, static_cast<int>(rng.NextBounded(p.specs.size() + 1)), 0});
     } else if (dice < 9) {
+      p.ops.push_back(Op{Op::kReschedule, -1,
+                         static_cast<int>(rng.NextBounded(p.specs.size() + 1)),
+                         RandomDelta(rng)});
+    } else if (dice < 11) {
       p.ops.push_back(Op{Op::kRunUntil, -1, -1,
                          static_cast<Duration>(rng.NextBounded(100000))});
     } else {
@@ -115,6 +130,9 @@ class Driver {
           break;
         case Op::kCancel:
           observations_.push_back(loop_.Cancel(IdForTag(op.cancel_tag)) ? 1 : 0);
+          break;
+        case Op::kReschedule:
+          Move(op.cancel_tag, op.run_delta);
           break;
         case Op::kRunUntil:
           loop_.RunUntil(loop_.now() + op.run_delta);
@@ -153,6 +171,26 @@ class Driver {
     }
   }
 
+  // Moves the event of `tag` (if it was ever scheduled) to now() + delta,
+  // keeping its callback, and observes whether it was still pending.
+  void Move(int tag, Duration delta) {
+    auto it = ids_.find(tag);
+    if (it == ids_.end()) {
+      observations_.push_back(-1);
+      return;
+    }
+    const Time when = loop_.now() + delta;
+    if constexpr (std::is_same_v<Loop, EventLoop>) {
+      if (loop_.Reschedule(it->second, when)) {
+        observations_.push_back(1);
+        return;
+      }
+    }
+    const bool was_pending = loop_.Cancel(it->second);
+    it->second = loop_.ScheduleAt(when, [this, tag] { OnFire(tag); });
+    observations_.push_back(was_pending ? 1 : 0);
+  }
+
   void OnFire(int tag) {
     const EventSpec& spec = program_.specs[tag];
     fired_.push_back({loop_.now(), tag});
@@ -163,6 +201,9 @@ class Driver {
       }
       if (spec.cancel_tag >= 0) {
         observations_.push_back(loop_.Cancel(IdForTag(spec.cancel_tag)) ? 1 : 0);
+      }
+      if (spec.move_tag >= 0) {
+        Move(spec.move_tag, spec.move_delta);
       }
     }
     if (spec.cancel_self_after > 0 && count == spec.cancel_self_after) {

@@ -176,6 +176,10 @@ TEST(ScenarioParseTest, EveryErrorMessageIsPinned) {
        R"("faults.plan[0].at_ms" must be >= 0)"},
       {R"({"name": "x", "enclave": {"cpu_first": -1}})",
        R"("enclave.cpu_first" must be >= 0)"},
+      {R"({"name": "x", "enclave": {"cpu_count": 0}})",
+       R"("enclave.cpu_count" must be >= 1, or -1 for every CPU from cpu_first)"},
+      {R"({"name": "x", "enclave": {"cpu_count": -2}})",
+       R"("enclave.cpu_count" must be >= 1, or -1 for every CPU from cpu_first)"},
       {R"({"name": "x", "enclave": {"watchdog_timeout_ms": -1}})",
        R"("enclave.watchdog_timeout_ms" must be >= 0)"},
       {R"({"name": "x", "invariants": {"period_us": 0}})",
@@ -251,6 +255,8 @@ TEST(ScenarioParseTest, EveryErrorMessageIsPinned) {
       {R"({"name": "x", "workload": {"fanout": 2}, "fleet": {}})",
        R"("fleet" requires "workload.fanout" == 1 (use "fleet.rpc_fanout" for )"
        R"(cross-machine fan-out))"},
+      {R"({"name": "x", "policy": {"kind": "vm_core_sched"}})",
+       R"("policy.kind" "vm_core_sched" requires "workload.kind" == "vm")"},
       {R"({"name": "x", "policy": {"kind": "vm_core_sched"}, "fleet": {}})",
        R"("fleet" cannot be combined with "policy.kind" "vm_core_sched")"},
       {R"({"name": "x", "policy": {"kind": "ab_test"}, "fleet": {}})",
@@ -298,13 +304,14 @@ TEST(ScenarioParseTest, IntegerKeysRejectFractionsAndOutOfRangeNumbers) {
   // Whole numbers up to each type's edge still parse, written either way.
   std::string error;
   const std::optional<ScenarioSpec> spec = ScenarioSpec::Parse(
-      R"({"name": "x", "seed": 18446744073709549568,
-          "enclave": {"cpu_first": 3.0, "cpu_count": -2147483648}})",
+      R"({"name": "x", "seed": 18446744073709549568, "policy": {"global_cpu": -2147483648},
+          "enclave": {"cpu_first": 3.0, "cpu_count": 2147483647}})",
       &error);
   ASSERT_TRUE(spec.has_value()) << error;
   EXPECT_EQ(spec->seed, 18446744073709549568ULL);
+  EXPECT_EQ(spec->policy.global_cpu, -2147483648);
   EXPECT_EQ(spec->enclave.cpu_first, 3);
-  EXPECT_EQ(spec->enclave.cpu_count, -2147483648);
+  EXPECT_EQ(spec->enclave.cpu_count, 2147483647);
 }
 
 // ---- Fleet block -----------------------------------------------------------

@@ -64,6 +64,26 @@ void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
 void operator delete[](void* p) noexcept { operator delete(p); }
 void operator delete[](void* p, std::size_t) noexcept { operator delete(p); }
 
+// Over-aligned types (the event engine's callback chunks) come through the
+// align_val_t forms; count them too.
+void* operator new(std::size_t size, std::align_val_t align) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(align);
+  if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return operator new(size, align);
+}
+void operator delete(void* p, std::align_val_t) noexcept { operator delete(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { operator delete(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { operator delete(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { operator delete(p); }
+
 namespace gs {
 namespace {
 
