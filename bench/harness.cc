@@ -222,12 +222,6 @@ Harness::Harness(std::string benchmark_name, int& argc, char** argv,
   }
 }
 
-uint64_t Harness::SeedOr(uint64_t fallback) {
-  seed_used_ = seed_overridden_ ? seed_override_ : fallback;
-  seed_recorded_ = true;
-  return seed_used_;
-}
-
 void Harness::Param(const std::string& key, int64_t v) {
   params_.emplace_back(key, RenderInt(v));
 }
@@ -244,9 +238,8 @@ void Harness::Param(const std::string& key, bool v) {
 void Harness::RunAll(uint64_t fallback_seed,
                      const std::function<void(Run&)>& body) {
   CHECK(!ran_all_) << "Harness::RunAll called twice";
-  CHECK(runs_.empty()) << "Harness::RunAll mixed with single-run sinks";
   ran_all_ = true;
-  const uint64_t base = SeedOr(fallback_seed);
+  const uint64_t base = seed_overridden_ ? seed_override_ : fallback_seed;
   for (int i = 0; i < num_seeds_; ++i) {
     runs_.emplace_back(new Run(this, base + static_cast<uint64_t>(i), i));
   }
@@ -260,28 +253,6 @@ void Harness::RunAll(uint64_t fallback_seed,
     std::fprintf(stderr, "ran %d seeds with %d job(s) in %.2fs\n", num_seeds_,
                  runner.jobs(), wall_clock_s_);
   }
-}
-
-Run& Harness::DefaultRun() {
-  CHECK(!ran_all_) << "single-run sinks mixed with Harness::RunAll";
-  if (runs_.empty()) {
-    runs_.emplace_back(new Run(this, seed_used_, 0));
-  }
-  return *runs_.front();
-}
-
-Row& Harness::AddRow() { return DefaultRun().AddRow(); }
-void Harness::Metric(const std::string& name, double v) {
-  DefaultRun().Metric(name, v);
-}
-void Harness::Metric(const std::string& name, int64_t v) {
-  DefaultRun().Metric(name, v);
-}
-void Harness::HistogramJson(const std::string& name, std::string json) {
-  DefaultRun().HistogramJson(name, std::move(json));
-}
-bool Harness::MaybeAttachTrace(Trace& trace) {
-  return AttachTrace(DefaultRun(), trace);
 }
 
 bool Harness::AttachTrace(const Run& run, Trace& trace) {
@@ -299,11 +270,19 @@ bool Harness::AttachTrace(const Run& run, Trace& trace) {
 void Harness::AppendDocHeader(JsonWriter& w, uint64_t seed) const {
   w.KV("schema_version", 1);
   w.KV("benchmark", name_);
-  if (seed_recorded_) {
-    w.Key("seed");
-    w.UInt(seed);
-  }
+  w.Key("seed");
+  w.UInt(seed);
   w.KV("scale", quick() ? "quick" : "paper");
+}
+
+void Harness::AppendParams(JsonWriter& w) const {
+  w.Key("params");
+  w.BeginObject();
+  for (const auto& [key, json] : params_) {
+    w.Key(key);
+    w.Raw(json);
+  }
+  w.EndObject();
 }
 
 void Harness::AppendRunBlocks(JsonWriter& w, const Run& run,
@@ -420,37 +399,17 @@ std::string Harness::SeedPath(uint64_t seed) const {
 
 int Harness::Finish() {
   CHECK(!finished_) << "Harness::Finish called twice";
+  CHECK(ran_all_) << "Harness::Finish before RunAll";
   finished_ = true;
   int rc = 0;
 
   if (!json_path_.empty()) {
-    if (runs_.empty()) {
-      // A benchmark that recorded nothing still emits a schema-valid file.
-      CHECK(!ran_all_);
-      runs_.emplace_back(new Run(this, seed_used_, 0));
-    }
     if (runs_.size() == 1) {
       JsonWriter w;
       w.BeginObject();
       AppendDocHeader(w, runs_.front()->seed_);
-      w.Key("params");
-      w.BeginObject();
-      for (const auto& [key, json] : params_) {
-        w.Key(key);
-        w.Raw(json);
-      }
-      w.EndObject();
-      double wall_clock_s = -1;
-      if (record_wall_clock_) {
-        // RunAll timed the body itself; single-run sinks fall back to
-        // harness lifetime (construction to Finish).
-        wall_clock_s =
-            ran_all_ ? wall_clock_s_
-                     : std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - start_)
-                           .count();
-      }
-      AppendRunBlocks(w, *runs_.front(), wall_clock_s);
+      AppendParams(w);
+      AppendRunBlocks(w, *runs_.front(), record_wall_clock_ ? wall_clock_s_ : -1);
       w.EndObject();
       rc |= WriteJsonFile(json_path_, w.str());
     } else {
@@ -460,29 +419,17 @@ int Harness::Finish() {
         JsonWriter w;
         w.BeginObject();
         AppendDocHeader(w, run->seed_);
-        w.Key("params");
-        w.BeginObject();
-        for (const auto& [key, json] : params_) {
-          w.Key(key);
-          w.Raw(json);
-        }
-        w.EndObject();
+        AppendParams(w);
         AppendRunBlocks(w, *run);
         w.EndObject();
         rc |= WriteJsonFile(SeedPath(run->seed_), w.str());
       }
       JsonWriter w;
       w.BeginObject();
-      AppendDocHeader(w, seed_used_);
+      AppendDocHeader(w, runs_.front()->seed_);
       w.KV("seeds", static_cast<int64_t>(num_seeds_));
       w.KV("jobs", static_cast<int64_t>(jobs_));
-      w.Key("params");
-      w.BeginObject();
-      for (const auto& [key, json] : params_) {
-        w.Key(key);
-        w.Raw(json);
-      }
-      w.EndObject();
+      AppendParams(w);
       AppendAggregateBlocks(w);
       w.EndObject();
       rc |= WriteJsonFile(json_path_, w.str());

@@ -47,7 +47,6 @@
 #ifndef GHOST_SIM_BENCH_HARNESS_H_
 #define GHOST_SIM_BENCH_HARNESS_H_
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -161,10 +160,6 @@ class Harness {
   Harness(const Harness&) = delete;
   Harness& operator=(const Harness&) = delete;
 
-  // The benchmark's base seed: `fallback` unless --seed was given. Also
-  // records the value for the "seed" field of the result file.
-  uint64_t SeedOr(uint64_t fallback);
-
   Scale scale() const { return scale_; }
   bool quick() const { return scale_ == Scale::kQuick; }
   bool json_requested() const { return !json_path_.empty(); }
@@ -180,32 +175,22 @@ class Harness {
   void Param(const std::string& key, const std::string& v);
   void Param(const std::string& key, bool v);
 
-  // Runs `body` once per seed (base = SeedOr(fallback_seed), then
-  // base+1, ...) on a BatchRunner with --jobs workers. Each invocation gets
-  // its own Run; results aggregate by run index, so the output is
-  // independent of --jobs. Call once; mutually exclusive with the
-  // single-run sinks below.
+  // Runs `body` once per seed (base = the --seed value, or `fallback_seed`
+  // without one; then base+1, ...) on a BatchRunner with --jobs workers.
+  // Each invocation gets its own Run; results aggregate by run index, so the
+  // output is independent of --jobs. Every benchmark records through this,
+  // exactly once; a benchmark that cannot fan out (allow_parallel = false)
+  // gets one Run on the calling thread.
   void RunAll(uint64_t fallback_seed, const std::function<void(Run&)>& body);
 
-  // Single-run compatibility sinks for benchmarks that cannot fan out
-  // (frameworks with global state, LOC counters): forward to an implicit
-  // lone Run. Mutually exclusive with RunAll.
-  Row& AddRow();
-  void Metric(const std::string& name, double v);
-  void Metric(const std::string& name, int64_t v);
-  void HistogramJson(const std::string& name, std::string json);
-  bool MaybeAttachTrace(Trace& trace);
-  ChromeTraceExporter* trace_exporter() { return exporter_.get(); }
-
   // Writes the result file(s) (--json) and the trace (--trace-out). Returns
-  // the process exit code (non-zero on I/O failure). Call once, at the end
-  // of main.
+  // the process exit code (non-zero on I/O failure). Call once, after
+  // RunAll, at the end of main.
   int Finish();
 
  private:
   friend class Run;
 
-  Run& DefaultRun();
   bool AttachTrace(const Run& run, Trace& trace);
   // Renders one run's "series"/"metrics"/"histograms"/"stats" blocks. A
   // non-negative `wall_clock_s` is spliced in as the first metric (top-level
@@ -214,6 +199,7 @@ class Harness {
                        double wall_clock_s = -1) const;
   void AppendAggregateBlocks(JsonWriter& w) const;
   void AppendDocHeader(JsonWriter& w, uint64_t seed) const;
+  void AppendParams(JsonWriter& w) const;
   int WriteJsonFile(const std::string& path, const std::string& json) const;
   // The --json path with ".seed<SEED>" spliced in before the extension.
   std::string SeedPath(uint64_t seed) const;
@@ -227,13 +213,10 @@ class Harness {
   int jobs_ = 1;
   bool seed_overridden_ = false;
   uint64_t seed_override_ = 0;
-  uint64_t seed_used_ = 0;
-  bool seed_recorded_ = false;
   bool ran_all_ = false;
   bool finished_ = false;
   bool record_wall_clock_ = false;
-  double wall_clock_s_ = 0;
-  std::chrono::steady_clock::time_point start_ = std::chrono::steady_clock::now();
+  double wall_clock_s_ = 0;  // RunAll's own duration
 
   std::vector<std::pair<std::string, std::string>> params_;
   std::vector<std::unique_ptr<Run>> runs_;

@@ -75,9 +75,9 @@ int CountDirLoc(const fs::path& dir, const std::vector<std::string>& only = {}) 
   return total;
 }
 
-void Row(gs::bench::Harness& harness, const char* name, int loc, const char* paper) {
+void Row(gs::bench::Run& run, const char* name, int loc, const char* paper) {
   std::printf("%-46s %6d LOC   (paper: %s)\n", name, loc, paper);
-  harness.AddRow().Set("component", name).Set("loc", loc).Set("paper_loc", paper);
+  run.AddRow().Set("component", name).Set("loc", loc).Set("paper_loc", paper);
 }
 
 }  // namespace
@@ -93,26 +93,29 @@ int main(int argc, char** argv) {
 
   std::printf("Table 2 reproduction: lines of code (non-blank, non-comment)\n\n");
 
-  Row(harness, "Simulated kernel substrate (src/kernel, sim, ...)",
-      CountDirLoc(src / "kernel") + CountDirLoc(src / "sim") + CountDirLoc(src / "topology") +
-          CountDirLoc(src / "base"),
-      "Linux CFS alone is 6,217");
-  Row(harness, "ghOSt kernel scheduling class (src/ghost)", CountDirLoc(src / "ghost"),
-      "3,777");
-  Row(harness, "ghOSt userspace support library (src/agent)", CountDirLoc(src / "agent"),
-      "3,115");
-  // The Shinjuku, Shinjuku+Shenango and Snap settings are three rows of the
-  // policy factory's table over this one class.
-  Row(harness, "Shinjuku policy", CountDirLoc(src / "policies", {"centralized_fifo"}),
-      "710 (+17 for Shenango ext)");
-  Row(harness, "Per-CPU FIFO policy", CountDirLoc(src / "policies", {"per_cpu_fifo"}), "n/a");
-  Row(harness, "Google Search policy", CountDirLoc(src / "policies", {"search"}), "929");
-  Row(harness, "Secure VM (core scheduling) policy",
-      CountDirLoc(src / "policies", {"vm_core_sched"}), "4,702 (ghOSt) vs 7,164 (kernel)");
-  Row(harness, "Shinjuku dataplane baseline (src/baselines)", CountDirLoc(src / "baselines"),
-      "Shinjuku system: 3,900");
-  Row(harness, "Workloads (src/workloads)", CountDirLoc(src / "workloads"), "n/a");
-  Row(harness, "Whole repository (src/)", CountDirLoc(src), "-");
+  // Nothing here is random: the seed (0 unless --seed) is only recorded.
+  harness.RunAll(0, [&src](gs::bench::Run& run) {
+    Row(run, "Simulated kernel substrate (src/kernel, sim, ...)",
+        CountDirLoc(src / "kernel") + CountDirLoc(src / "sim") +
+            CountDirLoc(src / "topology") + CountDirLoc(src / "base"),
+        "Linux CFS alone is 6,217");
+    Row(run, "ghOSt kernel scheduling class (src/ghost)", CountDirLoc(src / "ghost"),
+        "3,777");
+    Row(run, "ghOSt userspace support library (src/agent)", CountDirLoc(src / "agent"),
+        "3,115");
+    // The Shinjuku, Shinjuku+Shenango and Snap settings are three rows of the
+    // policy factory's table over this one class.
+    Row(run, "Shinjuku policy", CountDirLoc(src / "policies", {"centralized_fifo"}),
+        "710 (+17 for Shenango ext)");
+    Row(run, "Per-CPU FIFO policy", CountDirLoc(src / "policies", {"per_cpu_fifo"}), "n/a");
+    Row(run, "Google Search policy", CountDirLoc(src / "policies", {"search"}), "929");
+    Row(run, "Secure VM (core scheduling) policy",
+        CountDirLoc(src / "policies", {"vm_core_sched"}), "4,702 (ghOSt) vs 7,164 (kernel)");
+    Row(run, "Shinjuku dataplane baseline (src/baselines)", CountDirLoc(src / "baselines"),
+        "Shinjuku system: 3,900");
+    Row(run, "Workloads (src/workloads)", CountDirLoc(src / "workloads"), "n/a");
+    Row(run, "Whole repository (src/)", CountDirLoc(src), "-");
+  });
 
   std::printf(
       "\nThe paper's structural claim to check: policies are small (100s of\n"

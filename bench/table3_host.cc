@@ -106,7 +106,7 @@ BENCHMARK(BM_RngNext);
 // nanobench numbers land in the --json results file.
 class HarnessReporter : public benchmark::ConsoleReporter {
  public:
-  explicit HarnessReporter(bench::Harness* harness) : harness_(harness) {}
+  explicit HarnessReporter(bench::Run* run) : run_(run) {}
 
   void ReportRuns(const std::vector<Run>& runs) override {
     ConsoleReporter::ReportRuns(runs);
@@ -114,7 +114,7 @@ class HarnessReporter : public benchmark::ConsoleReporter {
       if (run.error_occurred || run.run_type != Run::RT_Iteration) {
         continue;
       }
-      bench::Row& row = harness_->AddRow();
+      bench::Row& row = run_->AddRow();
       row.Set("name", run.benchmark_name())
           .Set("iterations", static_cast<int64_t>(run.iterations))
           .Set("real_time_ns", run.GetAdjustedRealTime())
@@ -126,7 +126,7 @@ class HarnessReporter : public benchmark::ConsoleReporter {
   }
 
  private:
-  bench::Harness* harness_;
+  bench::Run* run_;
 };
 
 }  // namespace
@@ -143,8 +143,11 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return 1;
   }
-  gs::HarnessReporter reporter(&harness);
-  benchmark::RunSpecifiedBenchmarks(&reporter);
+  // Host timings take no seed (0 unless --seed); it is only recorded.
+  harness.RunAll(0, [](gs::bench::Run& run) {
+    gs::HarnessReporter reporter(&run);
+    benchmark::RunSpecifiedBenchmarks(&reporter);
+  });
   benchmark::Shutdown();
   return harness.Finish();
 }

@@ -1,9 +1,14 @@
 // Schema validator for bench-harness result files (see bench/harness.h).
-// Usage: validate_bench_json <result.json>...
-// Exits non-zero (listing the problems) if any file fails validation; CI
-// runs this over the smoke-bench artifacts.
+// Usage: validate_bench_json [--baseline=<BENCH.json>] <result.json>...
+// With --baseline, each result must also equal the baseline at every key
+// path but metrics.wall_clock_s (host time); a differing path prints as
+// "path: old → new". Exits non-zero (listing the problems) if any file
+// fails; CI runs this over the smoke-bench artifacts and, with --baseline,
+// against each checked-in BENCH_*.json.
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,40 +27,43 @@ bool Check(bool ok, const std::string& file, const std::string& what,
   return ok;
 }
 
-void Validate(const std::string& file, std::vector<std::string>& errors) {
+std::optional<JsonValue> Load(const std::string& file, std::vector<std::string>& errors) {
   std::ifstream in(file);
   if (!in) {
     errors.push_back(file + ": cannot open");
-    return;
+    return std::nullopt;
   }
   std::ostringstream buf;
   buf << in.rdbuf();
-  const auto doc = JsonValue::Parse(buf.str());
-  if (!Check(doc.has_value(), file, "does not parse as JSON", errors)) {
-    return;
-  }
-  if (!Check(doc->is_object(), file, "top level is not an object", errors)) {
+  std::optional<JsonValue> doc = JsonValue::Parse(buf.str());
+  Check(doc.has_value(), file, "does not parse as JSON", errors);
+  return doc;
+}
+
+void Validate(const std::string& file, const JsonValue& doc,
+              std::vector<std::string>& errors) {
+  if (!Check(doc.is_object(), file, "top level is not an object", errors)) {
     return;
   }
 
-  const JsonValue* version = doc->Find("schema_version");
+  const JsonValue* version = doc.Find("schema_version");
   Check(version != nullptr && version->is_number() && version->number == 1, file,
         "schema_version missing or != 1", errors);
 
-  const JsonValue* name = doc->Find("benchmark");
+  const JsonValue* name = doc.Find("benchmark");
   Check(name != nullptr && name->is_string() && !name->string.empty(), file,
         "benchmark missing or empty", errors);
 
-  const JsonValue* scale = doc->Find("scale");
+  const JsonValue* scale = doc.Find("scale");
   Check(scale != nullptr && scale->is_string() &&
             (scale->string == "quick" || scale->string == "paper"),
         file, "scale missing or not quick|paper", errors);
 
-  const JsonValue* params = doc->Find("params");
+  const JsonValue* params = doc.Find("params");
   Check(params != nullptr && params->is_object(), file, "params missing or not an object",
         errors);
 
-  const JsonValue* series = doc->Find("series");
+  const JsonValue* series = doc.Find("series");
   if (Check(series != nullptr && series->is_array(), file,
             "series missing or not an array", errors)) {
     for (size_t i = 0; i < series->array.size(); ++i) {
@@ -64,15 +72,15 @@ void Validate(const std::string& file, std::vector<std::string>& errors) {
     }
   }
 
-  const JsonValue* metrics = doc->Find("metrics");
+  const JsonValue* metrics = doc.Find("metrics");
   Check(metrics != nullptr && metrics->is_object(), file,
         "metrics missing or not an object", errors);
 
-  const JsonValue* histograms = doc->Find("histograms");
+  const JsonValue* histograms = doc.Find("histograms");
   Check(histograms != nullptr && histograms->is_object(), file,
         "histograms missing or not an object", errors);
 
-  const JsonValue* stats = doc->Find("stats");
+  const JsonValue* stats = doc.Find("stats");
   if (Check(stats != nullptr && stats->is_object(), file,
             "stats missing or not an object", errors)) {
     for (const char* block : {"counters", "gauges", "histograms"}) {
@@ -86,13 +94,35 @@ void Validate(const std::string& file, std::vector<std::string>& errors) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr, "usage: %s <result.json>...\n", argv[0]);
+  std::string baseline_path;
+  std::vector<std::string> files;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--baseline=", 11) == 0) {
+      baseline_path = argv[i] + 11;
+    } else {
+      files.push_back(argv[i]);
+    }
+  }
+  if (files.empty()) {
+    std::fprintf(stderr, "usage: %s [--baseline=<BENCH.json>] <result.json>...\n", argv[0]);
     return 2;
   }
   std::vector<std::string> errors;
-  for (int i = 1; i < argc; ++i) {
-    Validate(argv[i], errors);
+  std::optional<JsonValue> baseline;
+  if (!baseline_path.empty()) {
+    baseline = Load(baseline_path, errors);
+  }
+  for (const std::string& file : files) {
+    const std::optional<JsonValue> doc = Load(file, errors);
+    if (!doc.has_value()) {
+      continue;
+    }
+    Validate(file, *doc, errors);
+    if (baseline.has_value()) {
+      for (const std::string& line : gs::DiffJson(*baseline, *doc, {"metrics.wall_clock_s"})) {
+        errors.push_back(file + ": " + line);
+      }
+    }
   }
   if (!errors.empty()) {
     for (const std::string& error : errors) {
@@ -100,6 +130,7 @@ int main(int argc, char** argv) {
     }
     return 1;
   }
-  std::printf("OK: %d file(s) schema-valid\n", argc - 1);
+  std::printf("OK: %zu file(s) schema-valid%s\n", files.size(),
+              baseline.has_value() ? " and equal to the baseline" : "");
   return 0;
 }

@@ -1,9 +1,12 @@
 #include "src/base/json.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 
 namespace gs {
 
@@ -437,6 +440,78 @@ std::optional<JsonValue> JsonValue::Parse(std::string_view text, std::string* er
     *error = parser.error();
   }
   return value;
+}
+
+// ---- Diff -----------------------------------------------------------------------
+
+namespace {
+
+// One side of a diff line. Numbers print in their shortest round-trip form,
+// so two unequal numbers never print alike; containers print as a marker.
+std::string DiffSide(const JsonValue* v) {
+  if (v == nullptr) {
+    return "(absent)";
+  }
+  switch (v->type) {
+    case JsonValue::Type::kNull:
+      return "null";
+    case JsonValue::Type::kBool:
+      return v->boolean ? "true" : "false";
+    case JsonValue::Type::kNumber: {
+      char buf[32];
+      return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v->number).ptr);
+    }
+    case JsonValue::Type::kString: {
+      JsonWriter w;
+      w.String(v->string);
+      return w.str();
+    }
+    case JsonValue::Type::kArray:
+      return v->array.empty() ? "[]" : "[…]";
+    case JsonValue::Type::kObject:
+      return v->object.empty() ? "{}" : "{…}";
+  }
+  return "";
+}
+
+void DiffAt(const JsonValue* want, const JsonValue* got, const std::string& path,
+            const std::vector<std::string>& skip, std::vector<std::string>* out) {
+  if (std::find(skip.begin(), skip.end(), path) != skip.end()) {
+    return;
+  }
+  const bool same_type = want != nullptr && got != nullptr && want->type == got->type;
+  if (same_type && want->is_object()) {
+    std::set<std::string> keys;
+    for (const JsonValue* side : {want, got}) {
+      for (const auto& [key, value] : side->object) {
+        keys.insert(key);
+      }
+    }
+    for (const std::string& key : keys) {
+      DiffAt(want->Find(key), got->Find(key), path.empty() ? key : path + "." + key, skip,
+             out);
+    }
+  } else if (same_type && want->is_array()) {
+    for (size_t i = 0; i < std::max(want->array.size(), got->array.size()); ++i) {
+      DiffAt(i < want->array.size() ? &want->array[i] : nullptr,
+             i < got->array.size() ? &got->array[i] : nullptr,
+             path + "[" + std::to_string(i) + "]", skip, out);
+    }
+  } else if (!same_type || (want->is_number() ? want->number != got->number
+                                               : DiffSide(want) != DiffSide(got))) {
+    // Other scalars print exactly what they hold, so equal text is equality.
+    out->push_back((path.empty() ? "(document)" : path) + ": " + DiffSide(want) + " → " +
+                   DiffSide(got));
+  }
+}
+
+}  // namespace
+
+std::vector<std::string> DiffJson(const JsonValue& want, const JsonValue& got,
+                                  const std::vector<std::string>& skip) {
+  std::vector<std::string> out;
+  DiffAt(&want, &got, "", skip, &out);
+  return out;
 }
 
 }  // namespace gs

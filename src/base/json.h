@@ -1,12 +1,14 @@
-// Minimal JSON support: a streaming writer and a small recursive-descent
-// parser.
+// Minimal JSON support: a streaming writer, a small recursive-descent
+// parser, and a key-path diff.
 //
 // The observability layer (stats snapshots, Chrome-trace export, bench
 // harness result files) emits machine-readable JSON; the parser exists so
 // tests and the bench-result validator can round-trip what we emit without
-// an external dependency. This is not a general-purpose JSON library: the
-// writer produces deterministic, compact output and the parser accepts
-// strict RFC 8259 JSON (no comments, no trailing commas).
+// an external dependency, and DiffJson is the one comparator for checked-in
+// results (scenario goldens and BENCH_*.json files). This is not a
+// general-purpose JSON library: the writer produces deterministic, compact
+// output and the parser accepts strict RFC 8259 JSON (no comments, no
+// trailing commas).
 #ifndef GHOST_SIM_SRC_BASE_JSON_H_
 #define GHOST_SIM_SRC_BASE_JSON_H_
 
@@ -102,6 +104,16 @@ struct JsonValue {
   // verbatim, so they are written for humans editing config files.
   static std::optional<JsonValue> Parse(std::string_view text, std::string* error);
 };
+
+// Every difference between two documents, one line per key path, as
+// "path: old → new" with `want` the old side. Objects are walked over the
+// sorted union of their keys, arrays by index, and numbers compare with ==;
+// a key or element on one side only reads "(absent)" on the other. Paths are
+// dotted, with [i] for array elements ("series[3].p99_us"), and the top level
+// is "(document)"; the values of a path listed in `skip` are not compared.
+// Empty = equal documents.
+std::vector<std::string> DiffJson(const JsonValue& want, const JsonValue& got,
+                                  const std::vector<std::string>& skip = {});
 
 }  // namespace gs
 

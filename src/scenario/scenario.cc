@@ -33,8 +33,13 @@ namespace {
 //   Only(key, field, valid, why)  rendered only when `valid`, rejected otherwise
 //   Object / Optional / Array     nested sections
 //   Check(holds, [field,] what)   a validation; the writer skips it
+//
+// Every "_ms" and "_us" key also passes the reader's duration rule.
 
 using Allowed = std::span<const char* const>;
+
+// 2^63: the first nanosecond count a Duration cannot hold.
+constexpr double kInt64Ns = 0x1p63;
 
 std::string Quote(std::string_view s) { return "\"" + std::string(s) + "\""; }
 
@@ -260,6 +265,24 @@ class ObjectReader {
       return FailKey(key, "must be a finite number");
     }
     out = v.number;
+    return CheckDuration(key, out);
+  }
+
+  // The duration rule. A "_ms" or "_us" key is a time the run converts to
+  // whole int64 nanoseconds (FromMs, FromUs), so it must fit in one, and a
+  // nonzero time must not truncate to 0 ns: a time that must be > 0 is at
+  // least 1 ns. Every duration key of every section, overrides included,
+  // goes through here.
+  bool CheckDuration(const char* key, double value) {
+    const std::string_view k(key);
+    const double unit_ns = k.ends_with("_ms") ? 1e6 : k.ends_with("_us") ? 1e3 : 0;
+    const double ns = std::abs(value) * unit_ns;
+    if (ns >= kInt64Ns) {
+      return FailKey(key, "does not fit in int64 nanoseconds");
+    }
+    if (ns > 0 && ns < 1) {
+      return FailKey(key, "would truncate to 0 ns");
+    }
     return true;
   }
 
@@ -392,6 +415,8 @@ constexpr const char* kFleetEventKinds[] = {"agent_crash", "agent_stall", "agent
                                             "link_down", "link_up"};
 constexpr const char* kBalancerPolicies[] = {"round_robin", "least_loaded",
                                              "consistent_hash"};
+constexpr const char* kSendTimeTooLong =
+    "is too low: sending request_bytes or response_bytes takes 2^63 ns or more";
 
 void Visit(auto& v, Spec<ScenarioSpec> auto& s) {
   v.Required("name", s.name);
@@ -483,6 +508,7 @@ void Visit(auto& v, Spec<EnclaveSpec> auto& e) {
   v.Check(e.cpu_count >= 1 || e.cpu_count == -1, e.cpu_count,
           "must be >= 1, or -1 for every CPU from cpu_first");
   v.Check(e.watchdog_timeout_ms >= 0, e.watchdog_timeout_ms, "must be >= 0");
+  v.Check(e.watchdog_period_ms > 0, e.watchdog_period_ms, "must be > 0");
 }
 
 void Visit(auto& v, Spec<WorkloadSpec> auto& w) {
@@ -524,6 +550,7 @@ void Visit(auto& v, Spec<AntagonistSpec> auto& a) {
   v.Key("chunk_us", a.chunk_us);
   v.Check(a.threads >= 0, a.threads, "must be >= 0");
   v.Check(a.nice >= -20 && a.nice <= 19, a.nice, "must be in [-20, 19]");
+  v.Check(a.chunk_us > 0, a.chunk_us, "must be > 0");
 }
 
 void Visit(auto& v, Spec<FaultsSpec> auto& f) {
@@ -609,12 +636,16 @@ void Visit(auto& v, Spec<NetworkSpec> auto& n, int machines) {
   v.Check(n.bandwidth_gbps > 0, n.bandwidth_gbps, "must be > 0");
   v.Check(n.request_bytes >= 0 && n.response_bytes >= 0,
           "request_bytes and response_bytes must be >= 0");
-  v.Array("links", n.links, machines);
+  // A bandwidth turns into a send time (bits / Gbps ns), which the duration
+  // rule bounds like any other.
+  const double message_bits = 8 * std::max(n.request_bytes, n.response_bytes);
+  v.Check(message_bits / n.bandwidth_gbps < kInt64Ns, n.bandwidth_gbps, kSendTimeTooLong);
+  v.Array("links", n.links, machines, message_bits);
 }
 
 // A link's latency and bandwidth of -1 inherit the network default and stay
 // implicit: only explicit overrides are rendered, and those must be > 0.
-void Visit(auto& v, Spec<LinkSpec> auto& l, int machines) {
+void Visit(auto& v, Spec<LinkSpec> auto& l, int machines, double message_bits) {
   v.Required("from", l.from);
   v.Required("to", l.to);
   const bool has_latency = v.Maybe("latency_us", l.latency_us, l.latency_us >= 0);
@@ -627,6 +658,8 @@ void Visit(auto& v, Spec<LinkSpec> auto& l, int machines) {
   const char* const explicit_positive = "must be > 0 (omit it to inherit the network default)";
   v.Check(!has_latency || l.latency_us > 0, l.latency_us, explicit_positive);
   v.Check(!has_bandwidth || l.bandwidth_gbps > 0, l.bandwidth_gbps, explicit_positive);
+  v.Check(!has_bandwidth || message_bits / l.bandwidth_gbps < kInt64Ns, l.bandwidth_gbps,
+          kSendTimeTooLong);
 }
 
 // Each present section starts from a copy of the base scenario's.

@@ -1,7 +1,5 @@
 #include "src/scenario/scenario_runner.h"
 
-#include <algorithm>
-#include <cmath>
 #include <optional>
 
 #include "src/fleet/cluster.h"
@@ -9,29 +7,6 @@
 
 namespace gs {
 namespace scenario {
-
-void EnvelopeBand(const std::string& name, double value, double* lo, double* hi) {
-  // Relative tolerance + absolute slack floor, per metric family. The sim is
-  // deterministic, so the band absorbs intentional code drift, not noise:
-  // latencies move with every scheduling-cost tweak (wide band), counts and
-  // rates are structural (tight band).
-  double rel = 0.25;
-  double abs_slack = 1.0;
-  if (name.size() >= 3 && name.compare(name.size() - 3, 3, "_us") == 0) {
-    rel = 0.40;
-    abs_slack = 10.0;
-  } else if (name.find("kqps") != std::string::npos) {
-    rel = 0.20;
-    abs_slack = 0.5;
-  } else if (name.find("share") != std::string::npos ||
-             name.find("frac") != std::string::npos) {
-    rel = 0.30;
-    abs_slack = 0.02;
-  }
-  const double margin = std::max(std::abs(value) * rel, abs_slack);
-  *lo = value - margin;
-  *hi = value + margin;
-}
 
 ScenarioResult RunScenario(const ScenarioSpec& spec, StatsRegistry* stats,
                            int jobs) {
@@ -78,15 +53,7 @@ std::string RenderGolden(const ScenarioResult& result) {
   w.Key("envelopes");
   w.BeginObject();
   for (const auto& [key, value] : result.envelopes) {
-    double lo = 0;
-    double hi = 0;
-    EnvelopeBand(key, value, &lo, &hi);
-    w.Key(key);
-    w.BeginObject();
-    w.KV("value", value);
-    w.KV("lo", lo);
-    w.KV("hi", hi);
-    w.EndObject();
+    w.KV(key, value);
   }
   w.EndObject();
   w.EndObject();
@@ -95,80 +62,22 @@ std::string RenderGolden(const ScenarioResult& result) {
 
 bool CheckGolden(const ScenarioResult& result, const std::string& golden_json,
                  std::vector<std::string>* failures) {
-  const size_t failures_before = failures->size();
+  const std::string rendered = RenderGolden(result);
+  if (rendered == golden_json) {
+    return true;
+  }
   std::string parse_error;
-  std::optional<JsonValue> doc = JsonValue::Parse(golden_json, &parse_error);
-  if (!doc.has_value() || !doc->is_object()) {
+  const std::optional<JsonValue> golden = JsonValue::Parse(golden_json, &parse_error);
+  if (!golden.has_value()) {
     failures->push_back("golden is not valid JSON: " + parse_error);
     return false;
   }
-  const JsonValue* scenario = doc->Find("scenario");
-  if (scenario == nullptr || !scenario->is_string() || scenario->string != result.name) {
-    failures->push_back("golden is for a different scenario");
+  std::vector<std::string> diff = DiffJson(*golden, *JsonValue::Parse(rendered));
+  if (diff.empty()) {
+    diff.push_back("same values, different bytes (re-run --update-goldens)");
   }
-  const JsonValue* seed = doc->Find("seed");
-  if (seed == nullptr || !seed->is_number() ||
-      static_cast<uint64_t>(seed->number) != result.seed) {
-    failures->push_back("golden seed does not match the run seed");
-  }
-
-  const JsonValue* exact = doc->Find("exact");
-  if (exact == nullptr || !exact->is_object()) {
-    failures->push_back("golden has no \"exact\" object");
-  } else {
-    for (const auto& [key, value] : exact->object) {
-      auto it = result.exact.find(key);
-      if (it == result.exact.end()) {
-        failures->push_back("exact." + key + ": present in golden, absent in run");
-        continue;
-      }
-      const int64_t want = static_cast<int64_t>(value.number);
-      if (it->second != want) {
-        failures->push_back("exact." + key + ": golden " + std::to_string(want) +
-                            ", run " + std::to_string(it->second));
-      }
-    }
-    for (const auto& [key, value] : result.exact) {
-      if (exact->Find(key) == nullptr) {
-        failures->push_back("exact." + key +
-                            ": produced by run, missing from golden "
-                            "(schema drift; re-run --update-goldens)");
-      }
-    }
-  }
-
-  const JsonValue* envelopes = doc->Find("envelopes");
-  if (envelopes == nullptr || !envelopes->is_object()) {
-    failures->push_back("golden has no \"envelopes\" object");
-  } else {
-    for (const auto& [key, band] : envelopes->object) {
-      auto it = result.envelopes.find(key);
-      if (it == result.envelopes.end()) {
-        failures->push_back("envelopes." + key + ": present in golden, absent in run");
-        continue;
-      }
-      const JsonValue* lo = band.Find("lo");
-      const JsonValue* hi = band.Find("hi");
-      if (lo == nullptr || hi == nullptr) {
-        failures->push_back("envelopes." + key + ": golden band missing lo/hi");
-        continue;
-      }
-      if (it->second < lo->number || it->second > hi->number) {
-        failures->push_back("envelopes." + key + ": run value " +
-                            std::to_string(it->second) + " outside golden band [" +
-                            std::to_string(lo->number) + ", " +
-                            std::to_string(hi->number) + "]");
-      }
-    }
-    for (const auto& [key, value] : result.envelopes) {
-      if (envelopes->Find(key) == nullptr) {
-        failures->push_back("envelopes." + key +
-                            ": produced by run, missing from golden "
-                            "(schema drift; re-run --update-goldens)");
-      }
-    }
-  }
-  return failures->size() == failures_before;
+  failures->insert(failures->end(), diff.begin(), diff.end());
+  return false;
 }
 
 }  // namespace scenario

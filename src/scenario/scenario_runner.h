@@ -1,19 +1,19 @@
 // Executes a ScenarioSpec: spec -> fleet::Cluster -> ScenarioResult, plus the
-// golden-expectation rendering/checking used by the regression suite. The
-// cluster is the only execution engine: a spec without a `fleet` block is the
+// golden rendering and checking used by the regression suite. The cluster is
+// the only execution engine: a spec without a `fleet` block is the
 // degenerate one-node cluster (the historical single-machine run).
 //
-// A ScenarioResult splits its observations the way the golden files do:
+// A ScenarioResult splits its observations into two golden sections:
 //
-//  * `exact` — integer facts the simulation reproduces bit-for-bit for a
-//    fixed seed (request counts, fault injections, invariant verdicts,
-//    enclave teardown). Goldens compare these exactly; any drift is a
-//    behavior change someone must sign off on via --update-goldens.
-//  * `envelopes` — latency/throughput style doubles. Goldens store a
-//    [lo, hi] tolerance band around the recorded value, so refactors that
-//    shift performance a little do not churn goldens, while regressions
-//    that move a p99 out of band fail loudly.
+//  * `exact` — integer facts (request counts, fault injections, invariant
+//    verdicts, enclave teardown);
+//  * `envelopes` — latency/throughput style doubles, as JsonWriter renders
+//    them.
 //
+// Both are checked exactly: a golden is the rendered result, and it passes
+// only when a fresh render equals it byte for byte. The simulation is
+// deterministic for a fixed seed, so any drift is a behaviour change to sign
+// off on; `--update-goldens` re-records and lists every moved key old → new.
 // Rendering is deterministic (JsonWriter, sorted std::map iteration), so
 // `--update-goldens` twice in a row — or under different --jobs — produces
 // byte-identical files; a test pins that property.
@@ -36,7 +36,7 @@ struct ScenarioResult {
   uint64_t seed = 0;
   // Deterministic integer observations, keyed by metric name.
   std::map<std::string, int64_t> exact;
-  // Toleranced performance observations, keyed by metric name.
+  // Performance observations, keyed by metric name.
   std::map<std::string, double> envelopes;
   // Invariant-checker violation messages (empty on a clean run); the count
   // and ok-bit are mirrored into `exact` for the golden comparison.
@@ -59,15 +59,11 @@ ScenarioResult RunScenario(const ScenarioSpec& spec, StatsRegistry* stats = null
 std::string RenderGolden(const ScenarioResult& result);
 
 // Checks `result` against a golden document previously produced by
-// RenderGolden. Exact fields must match exactly and have identical key sets;
-// envelope values must lie inside the golden's [lo, hi]. On failure returns
-// false and appends one line per mismatch to `*failures`.
+// RenderGolden: true iff RenderGolden(result) equals it byte for byte. On a
+// mismatch returns false and appends one DiffJson line per moved key
+// ("envelopes.p99_us: 1015.807 → 1100.2") to `*failures`.
 bool CheckGolden(const ScenarioResult& result, const std::string& golden_json,
                  std::vector<std::string>* failures);
-
-// The [lo, hi] band RenderGolden stores for metric `name` at `value`
-// (relative tolerance plus an absolute slack floor, per metric family).
-void EnvelopeBand(const std::string& name, double value, double* lo, double* hi);
 
 }  // namespace scenario
 }  // namespace gs

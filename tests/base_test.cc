@@ -1,7 +1,9 @@
-// Unit tests for src/base: histogram, RNG, cpumask, ring deque, rings.
+// Unit tests for src/base: histogram, RNG, cpumask, ring deque, rings, and
+// the JSON diff.
 #include <algorithm>
 #include <initializer_list>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -10,6 +12,7 @@
 
 #include "src/base/cpumask.h"
 #include "src/base/histogram.h"
+#include "src/base/json.h"
 #include "src/base/mpmc_ring.h"
 #include "src/base/ring_deque.h"
 #include "src/base/rng.h"
@@ -353,6 +356,69 @@ TEST(MpmcRingTest, ThreadedManyProducersManyConsumers) {
   }
   const uint64_t n = kProducers * kPerProducer;
   EXPECT_EQ(sum.load(), n * (n + 1) / 2);
+}
+
+// ---- DiffJson ----------------------------------------------------------------
+
+JsonValue ParseJson(const char* text) {
+  std::optional<JsonValue> value = JsonValue::Parse(text);
+  EXPECT_TRUE(value.has_value()) << text;
+  return value.value_or(JsonValue{});
+}
+
+std::vector<std::string> Diff(const char* want, const char* got,
+                              const std::vector<std::string>& skip = {}) {
+  return DiffJson(ParseJson(want), ParseJson(got), skip);
+}
+
+using Lines = std::vector<std::string>;
+
+TEST(DiffJsonTest, EqualDocumentsHaveNoLines) {
+  EXPECT_EQ(Diff(R"({"a":[1,{"b":null}],"c":"x","d":true})",
+                 R"({ "d": true, "c": "x", "a": [1.0, {"b": null}] })"),
+            Lines{});
+}
+
+TEST(DiffJsonTest, KeyMissingOnEitherSide) {
+  EXPECT_EQ(Diff(R"({"a":1,"b":2})", R"({"b":2,"c":3})"),
+            (Lines{"a: 1 → (absent)", "c: (absent) → 3"}));
+}
+
+TEST(DiffJsonTest, TypeChange) {
+  EXPECT_EQ(Diff(R"({"a":1,"b":"1","c":[]})", R"({"a":"1","b":{"x":1},"c":null})"),
+            (Lines{R"(a: 1 → "1")", R"(b: "1" → {…})", "c: [] → null"}));
+  EXPECT_EQ(Diff("[1]", "{}"), Lines{"(document): […] → {}"});
+}
+
+TEST(DiffJsonTest, ArraysOfDifferentLength) {
+  EXPECT_EQ(Diff("[1,2,3]", "[1,5]"), (Lines{"[1]: 2 → 5", "[2]: 3 → (absent)"}));
+  EXPECT_EQ(Diff(R"({"s":[]})", R"({"s":[{"k":1}]})"), Lines{"s[0]: (absent) → {…}"});
+}
+
+TEST(DiffJsonTest, NestedPathText) {
+  EXPECT_EQ(Diff(R"({"series":[{"load":1},{"p99_us":{"v":false}}]})",
+                 R"({"series":[{"load":1},{"p99_us":{"v":true}}]})"),
+            Lines{"series[1].p99_us.v: false → true"});
+}
+
+TEST(DiffJsonTest, UnequalNumbersPrintDistinctly) {
+  // Numbers compare with ==, and each side prints in its shortest
+  // round-trip form, so a move past %.12g's digits still reads as a move.
+  EXPECT_EQ(Diff(R"({"x":1015.807})", R"({"x":1015.8070000001})"),
+            Lines{"x: 1015.807 → 1015.8070000001"});
+  EXPECT_EQ(Diff(R"({"x":0.1})", R"({"x":0.10000000000000002})"),
+            Lines{"x: 0.1 → 0.10000000000000002"});
+  EXPECT_EQ(Diff(R"({"x":2})", R"({"x":2.0})"), Lines{});
+}
+
+TEST(DiffJsonTest, SkippedPathIsNotCompared) {
+  const char* want = R"({"metrics":{"wall_clock_s":7.1,"txn":5},"wall_clock_s":1})";
+  const char* got = R"({"metrics":{"wall_clock_s":9.5,"txn":6},"wall_clock_s":2})";
+  EXPECT_EQ(Diff(want, got, {"metrics.wall_clock_s"}),
+            (Lines{"metrics.txn: 5 → 6", "wall_clock_s: 1 → 2"}));
+  // Skipping a path skips what lies under it, missing keys included.
+  EXPECT_EQ(Diff(R"({"a":{"b":1}})", R"({"a":{"c":2}})", {"a"}), Lines{});
+  EXPECT_EQ(Diff(R"({"a":1})", R"({})", {"a"}), Lines{});
 }
 
 }  // namespace

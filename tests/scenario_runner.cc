@@ -4,9 +4,13 @@
 //   scenario_runner --scenario=<name>    check (or update) just one
 //   scenario_runner --jobs=N             fan scenarios across N threads
 //   scenario_runner --goldens=<dir>      golden directory override
-//   scenario_runner --update-goldens     rewrite goldens from current behavior
+//   scenario_runner --update-goldens     rewrite goldens from current behavior,
+//                                        listing each moved key old → new
 //
-// Exit 0 = all checked scenarios match; 1 = mismatch or missing golden;
+// A golden matches only when the fresh render equals it byte for byte; a
+// mismatch lists every moved key ("envelopes.p99_us: 1015.807 → 1100.2"),
+// the lines to quote when a behaviour change re-records. Exit 0 = all
+// checked scenarios match (or were updated); 1 = mismatch or missing golden;
 // 2 = usage error. Scenarios fan out across a BatchRunner, one
 // SimulationContext per scenario, so results are independent of --jobs; the
 // golden render itself is deterministic, so --update-goldens twice in a row
@@ -97,6 +101,13 @@ int main(int argc, char** argv) {
   int failures = 0;
   for (size_t i = 0; i < names.size(); ++i) {
     const std::string path = GoldenPath(goldens_dir, names[i]);
+    std::string golden;
+    const bool have_golden = ReadFile(path, &golden);
+    std::vector<std::string> moved;
+    if (have_golden && gs::scenario::CheckGolden(results[i], golden, &moved)) {
+      std::printf("ok   %s\n", names[i].c_str());
+      continue;
+    }
     if (update) {
       std::ofstream out(path, std::ios::trunc);
       if (!out) {
@@ -104,25 +115,17 @@ int main(int argc, char** argv) {
         return 1;
       }
       out << gs::scenario::RenderGolden(results[i]);
-      std::printf("updated %s\n", path.c_str());
-      continue;
-    }
-    std::string golden;
-    if (!ReadFile(path, &golden)) {
+      std::printf("updated %s%s\n", path.c_str(), have_golden ? "" : " (new)");
+    } else if (!have_golden) {
       std::fprintf(stderr, "FAIL %s: missing golden %s (run --update-goldens)\n",
                    names[i].c_str(), path.c_str());
       ++failures;
-      continue;
-    }
-    std::vector<std::string> problems;
-    if (gs::scenario::CheckGolden(results[i], golden, &problems)) {
-      std::printf("ok   %s\n", names[i].c_str());
     } else {
-      ++failures;
       std::printf("FAIL %s\n", names[i].c_str());
-      for (const std::string& p : problems) {
-        std::printf("     %s\n", p.c_str());
-      }
+      ++failures;
+    }
+    for (const std::string& line : moved) {
+      std::printf("     %s\n", line.c_str());
     }
   }
   if (failures > 0) {

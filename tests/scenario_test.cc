@@ -182,8 +182,22 @@ TEST(ScenarioParseTest, EveryErrorMessageIsPinned) {
        R"("enclave.cpu_count" must be >= 1, or -1 for every CPU from cpu_first)"},
       {R"({"name": "x", "enclave": {"watchdog_timeout_ms": -1}})",
        R"("enclave.watchdog_timeout_ms" must be >= 0)"},
+      {R"({"name": "x", "enclave": {"watchdog_period_ms": 0, "watchdog_timeout_ms": 5}})",
+       R"("enclave.watchdog_period_ms" must be > 0)"},
+      {R"({"name": "x", "antagonist": {"chunk_us": 0, "threads": 2}})",
+       R"("antagonist.chunk_us" must be > 0)"},
       {R"({"name": "x", "invariants": {"period_us": 0}})",
        R"("invariants.period_us" must be > 0)"},
+      // The duration rule, which every "_ms" and "_us" key passes.
+      {R"({"name": "x", "invariants": {"period_us": 0.0001}})",
+       R"("invariants.period_us" would truncate to 0 ns)"},
+      {R"({"name": "x", "warmup_ms": 1e300})",
+       R"("warmup_ms" does not fit in int64 nanoseconds)"},
+      {R"({"name": "x", "faults": {"window_end_ms": -1e13}})",
+       R"("faults.window_end_ms" does not fit in int64 nanoseconds)"},
+      {R"({"name": "x", "fleet": {"machines": 2, "overrides": [{"machine": 1,
+           "enclave": {"watchdog_timeout_ms": 1e-7}}]}})",
+       R"("fleet.overrides[0].enclave.watchdog_timeout_ms" would truncate to 0 ns)"},
       {R"({"name": "x", "policy": {"kind": "ab_test"},
            "ab_test": {"canary": {"percent": 101}}})",
        R"("ab_test.canary.percent" must be in [0, 100])"},
@@ -205,6 +219,11 @@ TEST(ScenarioParseTest, EveryErrorMessageIsPinned) {
        R"("fleet.network.latency_us" must be > 0)"},
       {R"({"name": "x", "fleet": {"network": {"bandwidth_gbps": 0}}})",
        R"("fleet.network.bandwidth_gbps" must be > 0)"},
+      {R"({"name": "x", "fleet": {"network": {"latency_us": 0.0004}}})",
+       R"("fleet.network.latency_us" would truncate to 0 ns)"},
+      {R"({"name": "x", "fleet": {"network": {"bandwidth_gbps": 1e-300}}})",
+       R"("fleet.network.bandwidth_gbps" is too low: sending request_bytes or )"
+       R"(response_bytes takes 2^63 ns or more)"},
       {R"({"name": "x", "fleet": {"network": {"request_bytes": -1}}})",
        R"("fleet.network": request_bytes and response_bytes must be >= 0)"},
       {R"({"name": "x", "fleet": {"network": {"links": {}}}})",
@@ -224,6 +243,13 @@ TEST(ScenarioParseTest, EveryErrorMessageIsPinned) {
            "network": {"links": [{"from": 0, "to": 1, "bandwidth_gbps": -1}]}}})",
        R"("fleet.network.links[0].bandwidth_gbps" must be > 0 (omit it to inherit the )"
        R"(network default))"},
+      {R"({"name": "x", "fleet": {"machines": 2,
+           "network": {"links": [{"from": 0, "to": 1, "latency_us": 0.0004}]}}})",
+       R"("fleet.network.links[0].latency_us" would truncate to 0 ns)"},
+      {R"({"name": "x", "fleet": {"machines": 2,
+           "network": {"links": [{"from": -1, "to": 1, "bandwidth_gbps": 1e-300}]}}})",
+       R"("fleet.network.links[0].bandwidth_gbps" is too low: sending request_bytes or )"
+       R"(response_bytes takes 2^63 ns or more)"},
       {R"({"name": "x", "fleet": {"machines": 65}})", R"("fleet.machines" must be in [1, 64])"},
       {R"({"name": "x", "fleet": {"sessions": 0}})", R"("fleet.sessions" must be >= 1)"},
       {R"({"name": "x", "fleet": {"rpc_fanout": 2}})",
@@ -774,14 +800,14 @@ TEST(ScenarioGoldenTest, EnvelopeEscapeFailsTheCheck) {
   ASSERT_TRUE(spec.has_value()) << error;
   ScenarioResult result = RunScenario(*spec);
   const std::string golden = RenderGolden(result);
-  result.envelopes["p99_us"] = result.envelopes["p99_us"] * 10 + 1e6;
+  // A relative 1e-10 still shows in the rendered digits, and a golden is
+  // exact: there is no tolerance band to hide the move in.
+  ASSERT_GT(result.envelopes["p99_us"], 0);
+  result.envelopes["p99_us"] *= 1 + 1e-10;
   std::vector<std::string> problems;
   EXPECT_FALSE(CheckGolden(result, golden, &problems));
-  bool found = false;
-  for (const std::string& p : problems) {
-    found = found || p.find("envelopes.p99_us") != std::string::npos;
-  }
-  EXPECT_TRUE(found);
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_EQ(problems[0].rfind("envelopes.p99_us: ", 0), 0u) << problems[0];
 }
 
 TEST(ScenarioGoldenTest, SchemaDriftIsDetectedBothWays) {
