@@ -7,6 +7,9 @@
 //  * the global-agent shape (sdk/global_agent.h): GlobalAgentPolicy, the
 //    inactive-agent/hot-handoff/group-commit skeleton of every centralized
 //    policy (Fig 4, §3.3);
+//  * the per-CPU shape (sdk/per_cpu_agent.h): PerCpuAgentPolicy, the
+//    per-CPU-queue/round-robin-homing/local-commit skeleton of every per-CPU
+//    policy (Fig 3, §3.1);
 //  * runqueue primitives (sdk/runqueue.h): FifoRunqueue, MinRunqueue,
 //    PrioArrayRunqueue — the three queue shapes every policy in this repo
 //    is built from;
@@ -18,15 +21,16 @@
 //
 // Message plumbing lives one level down in Policy (typed hooks over the
 // shared TaskTable); predictors that feed PlacementHints and long-vs-short
-// routing live in src/predict/. A new policy is: subclass Policy (per-CPU
-// agents) or GlobalAgentPolicy (one global agent), pick queue primitives,
-// implement Schedule() — see the README quickstart and src/policies/ for
-// consumers.
+// routing live in src/predict/. A new policy is: subclass
+// PerCpuAgentPolicy (per-CPU agents: supply the runqueue) or
+// GlobalAgentPolicy (one global agent: implement Schedule()), pick queue
+// primitives — see the README quickstart and src/policies/ for consumers.
 #ifndef GHOST_SIM_SRC_AGENT_SDK_SDK_H_
 #define GHOST_SIM_SRC_AGENT_SDK_SDK_H_
 
 #include "src/agent/policy.h"            // IWYU pragma: export
 #include "src/agent/sdk/global_agent.h"  // IWYU pragma: export
+#include "src/agent/sdk/per_cpu_agent.h" // IWYU pragma: export
 #include "src/agent/sdk/placement.h"     // IWYU pragma: export
 #include "src/agent/sdk/runqueue.h"      // IWYU pragma: export
 #include "src/agent/sdk/timeslice.h"     // IWYU pragma: export

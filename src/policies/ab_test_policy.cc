@@ -20,20 +20,7 @@ bool AbTestPolicy::InCanary(int64_t tid) const {
 }
 
 void AbTestPolicy::Attached(AgentProcess* process, Enclave* enclave, Kernel* kernel) {
-  enclave_ = enclave;
-  process_ = process;
-  const CpuMask& cpus = enclave->cpus();
-  boss_cpu_ = cpus.First();
-  cpus_.resize(kernel->topology().num_cpus());
-  for (int cpu = cpus.First(); cpu >= 0; cpu = cpus.NextAfter(cpu)) {
-    CpuSched& cs = cpus_[cpu];
-    cs.queue = enclave->CreateQueue();
-    enclave->ConfigQueueWakeup(cs.queue, process->agent_on(cpu));
-    enclave->SetCpuQueue(cpu, cs.queue);
-    cpu_list_.push_back(cpu);
-  }
-  enclave->ConfigQueueWakeup(enclave->default_queue(), process->agent_on(boss_cpu_));
-
+  PerCpuFifoPolicy::Attached(process, enclave, kernel);
   StatsRegistry& stats = *kernel->stats();
   const char* lane_name[2] = {"ab-base", "ab-canary"};
   for (int lane = 0; lane < 2; ++lane) {
@@ -44,182 +31,26 @@ void AbTestPolicy::Attached(AgentProcess* process, Enclave* enclave, Kernel* ker
   }
 }
 
-void AbTestPolicy::Restore(const std::vector<Enclave::TaskInfo>& dump) {
-  // Full view replacement (also the overflow-resync path). Lane membership is
-  // recomputed from the tid hash; the cumulative lane counters survive.
-  for (CpuSched& sched : cpus_) {
-    sched.runqueue.Clear();
-  }
-  home_cpu_.Clear();
-  table().Clear();
-  for (const Enclave::TaskInfo& info : dump) {
-    PolicyTask* task = table().Add(info.tid);
-    task->tseq = info.tseq;
-    task->affinity = info.affinity;
-    task->runnable = info.runnable;
-    const int home = NextHomeCpu();
-    home_cpu_.Insert(info.tid, home);
-    enclave_->AssociateQueue(info.tid, cpus_[home].queue);
-    if (info.runnable && !info.on_cpu) {
-      task->queued = true;
-      cpus_[home].runqueue.Push(task);
-    }
-  }
-}
-
-int AbTestPolicy::NextHomeCpu() {
-  const int cpu = cpu_list_[rr_next_ % cpu_list_.size()];
-  ++rr_next_;
-  return cpu;
-}
-
-void AbTestPolicy::CollectQueues(AgentContext& ctx, std::vector<MessageQueue*>* queues) {
-  const int cpu = ctx.agent_cpu();
-  if (cpu == boss_cpu_) {
-    queues->push_back(enclave_->default_queue());
-  }
-  queues->push_back(cpus_[cpu].queue);
-}
-
-void AbTestPolicy::TimerTick(AgentContext& ctx, const Message& msg) { rotate_ = true; }
-
-void AbTestPolicy::TaskNew(AgentContext& ctx, PolicyTask* task, const Message& msg) {
-  const int home = NextHomeCpu();
-  home_cpu_.Insert(msg.tid, home);
-  ctx.Charge(ctx.kernel()->cost().syscall);
-  enclave_->AssociateQueue(msg.tid, cpus_[home].queue);
-  if (task->runnable && !task->queued) {
-    task->queued = true;
-    cpus_[home].runqueue.Push(task);
-    NotifyAgent(ctx, home);
-  }
-}
-
-void AbTestPolicy::EnqueueRunnable(AgentContext& ctx, PolicyTask* task, bool front) {
-  if (task->queued) {
-    return;
-  }
-  // The canary lane's behavioral delta: LIFO admission.
-  if (!front && options_.canary_lifo && InCanary(task->tid)) {
-    front = true;
-  }
-  const int home = HomeOf(task->tid, ctx.agent_cpu());
-  task->queued = true;
-  if (front) {
-    cpus_[home].runqueue.PushFront(task);
-  } else {
-    cpus_[home].runqueue.Push(task);
-  }
-  NotifyAgent(ctx, home);
-}
-
 void AbTestPolicy::TaskWakeup(AgentContext& ctx, PolicyTask* task, const Message& msg) {
-  EnqueueRunnable(ctx, task, /*front=*/false);
-}
-
-void AbTestPolicy::TaskPreempted(AgentContext& ctx, PolicyTask* task, const Message& msg) {
-  EnqueueRunnable(ctx, task, /*front=*/true);
+  Enqueue(ctx, task, AdmitAt(task->tid));
 }
 
 void AbTestPolicy::TaskYield(AgentContext& ctx, PolicyTask* task, const Message& msg) {
-  EnqueueRunnable(ctx, task, /*front=*/false);
-}
-
-void AbTestPolicy::TaskBlocked(AgentContext& ctx, PolicyTask* task, const Message& msg) {
-  if (task->queued) {
-    cpus_[HomeOf(task->tid, ctx.agent_cpu())].runqueue.Remove(task);
-    task->queued = false;
-  }
-}
-
-void AbTestPolicy::Evict(AgentContext& ctx, PolicyTask* task) {
-  if (task->queued) {
-    cpus_[HomeOf(task->tid, ctx.agent_cpu())].runqueue.Remove(task);
-  }
-  home_cpu_.Erase(task->tid);
+  Enqueue(ctx, task, AdmitAt(task->tid));
 }
 
 void AbTestPolicy::TaskDead(AgentContext& ctx, PolicyTask* task, const Message& msg) {
+  // Departed (moved out of the enclave alive) is not a completion.
   const int lane = LaneOf(task->tid);
   ++lanes_[lane].completed;
   stat_completed_[lane]->Inc();
-  Evict(ctx, task);
+  PerCpuFifoPolicy::TaskDead(ctx, task, msg);
 }
 
-void AbTestPolicy::TaskDeparted(AgentContext& ctx, PolicyTask* task, const Message& msg) {
-  // Departed (moved out of the enclave alive) is not a completion.
-  Evict(ctx, task);
-}
-
-void AbTestPolicy::NotifyAgent(AgentContext& ctx, int cpu) {
-  if (cpu == ctx.agent_cpu()) {
-    return;
-  }
-  Task* agent = process_->agent_on(cpu);
-  if (agent == nullptr) {
-    return;
-  }
-  if (agent->state() == TaskState::kBlocked) {
-    ctx.Charge(ctx.kernel()->cost().syscall + ctx.kernel()->cost().agent_wakeup);
-    ctx.kernel()->Wake(agent);
-  } else {
-    enclave_->PokeAgent(agent);
-  }
-}
-
-AgentAction AbTestPolicy::Schedule(AgentContext& ctx) {
-  const int cpu = ctx.agent_cpu();
-  CpuSched& cs = cpus_[cpu];
-  const uint32_t aseq = ctx.ReadAseq();
-  const bool rotate = rotate_;
-  rotate_ = false;
-
-  if (cs.runqueue.empty()) {
-    return AgentAction::kBlock;
-  }
-  if (rotate && cs.runqueue.size() >= 2) {
-    PolicyTask* front = cs.runqueue.Pop();
-    cs.runqueue.Push(front);
-  }
-
-  PolicyTask* next = cs.runqueue.Pop();
-  next->queued = false;
-  Transaction txn = AgentContext::MakeTxn(next->tid, cpu);
-  txn.expected_aseq = aseq;
-  Transaction* ptr = &txn;
-  ctx.Commit(ptr);
-  if (txn.committed()) {
-    next->assigned_cpu = cpu;
-    next->last_cpu = cpu;
-    const int lane = LaneOf(next->tid);
-    ++lanes_[lane].scheduled;
-    stat_scheduled_[lane]->Inc();
-    return AgentAction::kYield;
-  }
-  if (txn.status == TxnStatus::kEStale) {
-    ++estale_failures_;
-    next->queued = true;
-    cs.runqueue.PushFront(next);
-    return AgentAction::kRunAgain;
-  }
-  if (next->runnable) {
-    next->queued = true;
-    if (!next->affinity.IsSet(cpu)) {
-      int new_home = cpu;
-      for (int candidate : cpu_list_) {
-        if (next->affinity.IsSet(candidate)) {
-          new_home = candidate;
-          break;
-        }
-      }
-      home_cpu_.Insert(next->tid, new_home);
-      cpus_[new_home].runqueue.Push(next);
-      NotifyAgent(ctx, new_home);
-    } else {
-      cs.runqueue.Push(next);
-    }
-  }
-  return AgentAction::kRunAgain;
+void AbTestPolicy::Committed(AgentContext& ctx, PolicyTask* task) {
+  const int lane = LaneOf(task->tid);
+  ++lanes_[lane].scheduled;
+  stat_scheduled_[lane]->Inc();
 }
 
 }  // namespace gs

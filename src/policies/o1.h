@@ -16,10 +16,10 @@
 // gets a fresh slice and re-enters the ACTIVE array (sleepers are rewarded);
 // a task that calls sched_yield is demoted to the expired array.
 //
-// SDK consumer: message boilerplate lives in the Policy base, the priority
-// arrays are sdk PrioArrayRunqueues, and slice accounting is an sdk
-// SliceBudget per task; this file keeps only the active/expired generation
-// logic and per-CPU homing that make the policy O(1)-shaped.
+// SDK consumer: PerCpuAgentPolicy owns the per-CPU homing, notifications
+// and the Fig 3 commit loop, the arrays are sdk PrioArrayRunqueues, and
+// slice accounting is an sdk SliceBudget per task; this file keeps only the
+// active/expired generation logic that makes the policy O(1)-shaped.
 #ifndef GHOST_SIM_SRC_POLICIES_O1_H_
 #define GHOST_SIM_SRC_POLICIES_O1_H_
 
@@ -28,13 +28,13 @@
 #include <map>
 #include <vector>
 
-#include "src/agent/agent_context.h"
-#include "src/agent/agent_process.h"
-#include "src/agent/sdk/sdk.h"
+#include "src/agent/sdk/per_cpu_agent.h"
+#include "src/agent/sdk/runqueue.h"
+#include "src/agent/sdk/timeslice.h"
 
 namespace gs {
 
-class O1Policy : public Policy {
+class O1Policy : public PerCpuAgentPolicy {
  public:
   struct Options {
     // Priority levels; 0 is the highest. Must be in [1, 64] (one bitmap word).
@@ -54,68 +54,54 @@ class O1Policy : public Policy {
 
   const char* name() const override { return "o1-mlq"; }
   void Attached(AgentProcess* process, Enclave* enclave, Kernel* kernel) override;
-  void Restore(const std::vector<Enclave::TaskInfo>& dump) override;
 
   // The slice a task of `priority` receives per array generation.
   Duration TimesliceFor(int priority) const;
 
-  uint64_t scheduled() const { return scheduled_; }
-  uint64_t estale_failures() const { return estale_failures_; }
   uint64_t array_swaps() const { return array_swaps_; }
   uint64_t slice_expirations() const { return slice_expirations_; }
   int RunqueueDepth() const override;
 
  protected:
-  void CollectQueues(AgentContext& ctx, std::vector<MessageQueue*>* queues) override;
-  AgentAction Schedule(AgentContext& ctx) override;
-  void TaskNew(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
+  // The runqueue: `kNextRound` is the expired array, the other positions
+  // are the active one.
+  void Push(PolicyTask* task, int cpu, QueueAt at) override;
+  void Remove(PolicyTask* task, int cpu) override;
+  PolicyTask* Pick(AgentContext& ctx, int cpu) override;
+  void ResetRunqueues() override;
+  void TrackTask(PolicyTask* task) override;
+  void UntrackTask(PolicyTask* task) override { states_.erase(task->tid); }
+  void Committed(AgentContext& ctx, PolicyTask* task) override;
+
+  // Slice accounting on the way into the arrays.
   void TaskWakeup(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
   void TaskPreempted(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
   void TaskYield(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
   void TaskBlocked(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
-  void TaskDead(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
-  void TaskDeparted(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
-  void TaskAffinity(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
 
  private:
   // Per-task O1 state, owned here and linked from PolicyTask::user.
   struct O1Task {
     int prio = 0;
     SliceBudget slice;  // budget left in this array generation
-    int home = -1;      // owning CPU
     int array = 0;      // which of its home's arrays it is queued in
   };
 
   struct CpuSched {
-    MessageQueue* queue = nullptr;
     PrioArrayRunqueue arrays[2];
     int active = 0;  // index of the active array; 1 - active is expired
   };
 
   O1Task& StateOf(PolicyTask* task) { return *static_cast<O1Task*>(task->user); }
-  O1Task& AttachState(PolicyTask* task);
   // Charges virtual run time since the last pick against the slice budget.
   void ChargeRuntime(AgentContext& ctx, PolicyTask* task);
-  // Queues a runnable task on its home CPU. `expired` selects the array;
-  // `front` resumes an unfinished slice at the queue head.
-  void EnqueueRunnable(AgentContext& ctx, PolicyTask* task, bool expired, bool front);
-  void Dequeue(PolicyTask* task);
-  void Evict(AgentContext& ctx, PolicyTask* task);
-  void NotifyAgent(AgentContext& ctx, int cpu);
-  int NextHomeCpu();
   int ClampPriority(int prio) const;
 
   Options options_;
-  Enclave* enclave_ = nullptr;
-  AgentProcess* process_ = nullptr;
-  std::map<int, CpuSched> cpus_;
+  // Dense cpu -> arrays (unsized for CPUs outside the enclave).
+  std::vector<CpuSched> cpus_;
   std::map<int64_t, O1Task> states_;  // tid -> O1 state (PolicyTask::user)
-  std::vector<int> cpu_list_;
-  size_t rr_next_ = 0;
-  int boss_cpu_ = -1;
 
-  uint64_t scheduled_ = 0;
-  uint64_t estale_failures_ = 0;
   uint64_t array_swaps_ = 0;
   uint64_t slice_expirations_ = 0;
 };

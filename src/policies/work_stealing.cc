@@ -18,10 +18,9 @@ PolicyTask* WorkStealingPolicy::Steal(AgentContext& ctx, int thief_cpu) {
   if (victim_cpu < 0) {
     return nullptr;
   }
-  CpuSched& victim = cpus_[victim_cpu];
+  FifoRunqueue& victim = cpus_[victim_cpu].runqueue;
   // Snapshot: the drain in the retry path may mutate the victim runqueue.
-  const std::vector<PolicyTask*> candidates(victim.runqueue.raw().begin(),
-                                            victim.runqueue.raw().end());
+  const std::vector<PolicyTask*> candidates(victim.raw().begin(), victim.raw().end());
   for (PolicyTask* candidate : candidates) {
     if (!candidate->queued || !candidate->affinity.IsSet(thief_cpu)) {
       continue;
@@ -31,15 +30,15 @@ PolicyTask* WorkStealingPolicy::Steal(AgentContext& ctx, int thief_cpu) {
     // the victim queue; drain it (messages are applied as usual — the victim
     // agent will see an empty queue) and retry once.
     ctx.Charge(ctx.kernel()->cost().syscall);
-    if (!enclave_->AssociateQueue(candidate->tid, cpus_[thief_cpu].queue)) {
+    if (!enclave()->AssociateQueue(candidate->tid, queue_of(thief_cpu))) {
       ++association_retries_;
       std::vector<Message> drained;
-      ctx.Drain(victim.queue, &drained);
+      ctx.Drain(queue_of(victim_cpu), &drained);
       for (const Message& msg : drained) {
         Dispatch(ctx, msg);
       }
       ctx.Charge(ctx.kernel()->cost().syscall);
-      if (!enclave_->AssociateQueue(candidate->tid, cpus_[thief_cpu].queue)) {
+      if (!enclave()->AssociateQueue(candidate->tid, queue_of(thief_cpu))) {
         continue;
       }
       // Draining may have dequeued the candidate (it blocked/died).
@@ -47,8 +46,8 @@ PolicyTask* WorkStealingPolicy::Steal(AgentContext& ctx, int thief_cpu) {
         continue;
       }
     }
-    victim.runqueue.Remove(candidate);
-    home_cpu_.Insert(candidate->tid, thief_cpu);
+    victim.Remove(candidate);
+    SetHome(candidate->tid, thief_cpu);
     ++steals_;
     return candidate;  // caller runs it (still marked queued until dispatch)
   }
