@@ -188,10 +188,17 @@ AgentAction PerCpuAgentPolicy::Schedule(AgentContext& ctx) {
     // Fig 3: the local commit takes effect when the agent vacates its CPU.
     return AgentAction::kYield;
   }
-  if (txn.status == TxnStatus::kEStale) {
-    ++estale_failures_;
+  if (txn.status == TxnStatus::kEStale || txn.status == TxnStatus::kETxnPending) {
     next->queued = true;
     Push(next, cpu, QueueAt::kFront);
+    if (txn.status == TxnStatus::kETxnPending) {
+      // This CPU still holds an earlier latched commit: the agent ran again
+      // before vacating the CPU. Running again here would keep the latched
+      // thread (and everything queued behind it) off the CPU for good, so
+      // yield to let the latch take effect, and retry this thread after it.
+      return AgentAction::kYield;
+    }
+    ++estale_failures_;
     return AgentAction::kRunAgain;  // drain the newer messages and retry
   }
   // Other failure: if the thread may no longer run here, re-home it;

@@ -11,7 +11,9 @@
 //  * Schedule() is Fig 3's loop: read the agent's aseq, pick from the own
 //    runqueue, commit locally tagged with the aseq, and yield so the latched
 //    commit takes effect. ESTALE puts the thread back at the head and runs
-//    again (drain the newer messages, retry). After any other failure a
+//    again (drain the newer messages, retry). ETXNPENDING means this CPU
+//    still holds an earlier latched commit: the thread goes back to the head
+//    and the agent yields so that commit runs. After any other failure a
 //    thread that may no longer run here is re-homed.
 //
 // Subclasses supply the runqueue (Push/Remove/Pick/ResetRunqueues) and any

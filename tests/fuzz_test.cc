@@ -10,8 +10,10 @@
 
 #include "src/agent/agent_process.h"
 #include "src/base/rng.h"
+#include "src/policies/ab_test_policy.h"
 #include "src/policies/centralized_fifo.h"
 #include "src/policies/factory.h"
+#include "src/policies/o1.h"
 #include "src/policies/per_cpu_fifo.h"
 #include "src/policies/search.h"
 #include "src/policies/work_stealing.h"
@@ -22,16 +24,33 @@
 namespace gs {
 namespace {
 
-struct ChaosParams {
-  // 0 per-cpu, 1 centralized, 2 centralized+slice, 3 work-stealing,
-  // 4 shinjuku, 5 search
-  int policy;
-  uint64_t seed;
+// The chaos op kinds, one bit each (see the switch in the test body).
+enum ChaosOp : uint32_t {
+  kAffinityFlip = 1 << 0,
+  kNiceChange = 1 << 1,
+  kCfsIntruder = 1 << 2,
+  kEnclaveChurn = 1 << 3,
+  kAgentUpgrade = 1 << 4,
+  kAllOps = (1 << 5) - 1,
 };
 
-// Names each case (e.g. policy3_seed707) by its values, never its bytes.
+struct ChaosParams {
+  // 0 per-cpu, 1 centralized, 2 centralized+slice, 3 work-stealing,
+  // 4 shinjuku, 5 search, 6 o1, 7 ab-test (30% canary lane, LIFO)
+  int policy;
+  uint64_t seed;
+  // The op kinds that act when they fire. A masked op is still drawn and
+  // scheduled, so a seed's random stream is the same under every mask.
+  uint32_t ops = kAllOps;
+};
+
+// Names each case (e.g. policy3_seed707, or policy0_seed10_ops4 under a
+// mask) by its values, never its bytes.
 void PrintTo(const ChaosParams& params, std::ostream* os) {
   *os << "policy" << params.policy << "_seed" << params.seed;
+  if (params.ops != kAllOps) {
+    *os << "_ops" << params.ops;
+  }
 }
 
 std::unique_ptr<Policy> MakePolicy(int kind) {
@@ -49,6 +68,11 @@ std::unique_ptr<Policy> MakePolicy(int kind) {
       return gs::MakePolicy({.kind = "shinjuku", .timeslice_us = 30}, PolicyEnv{});
     case 5:
       return std::make_unique<SearchPolicy>();
+    case 6:
+      return std::make_unique<O1Policy>();
+    case 7:
+      return std::make_unique<AbTestPolicy>(
+          AbTestPolicy::Options{.canary_percent = 30, .canary_lifo = true});
     default:
       return std::make_unique<CentralizedFifoPolicy>();
   }
@@ -112,15 +136,16 @@ TEST_P(ChaosTest, InvariantsHoldUnderRandomOperations) {
   // Chaos operations sprinkled through the first 50 ms.
   Enclave* enc = enclave.get();
   const int policy_kind = params.policy;
+  const uint32_t ops = params.ops;
   for (int op = 0; op < 72; ++op) {
     const Time when = static_cast<Time>(rng.NextBounded(50'000'000));
     const uint64_t kind = rng.NextBounded(5);
     const size_t victim = rng.NextBounded(24);
     const uint64_t arg = rng.Next();
     loop->ScheduleAt(when, [workers, victim, kind, arg, kernel, loop, enc, process,
-                            policy_kind, &m] {
+                            policy_kind, ops, &m] {
       Task* task = (*workers)[victim].task;
-      if (task->state() == TaskState::kDead) {
+      if ((ops & (1u << kind)) == 0 || task->state() == TaskState::kDead) {
         return;
       }
       switch (kind) {
@@ -193,7 +218,30 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(ChaosParams{0, 101}, ChaosParams{0, 202}, ChaosParams{1, 303},
                       ChaosParams{1, 404}, ChaosParams{2, 505}, ChaosParams{2, 606},
                       ChaosParams{3, 707}, ChaosParams{3, 808}, ChaosParams{4, 909},
-                      ChaosParams{4, 1010}, ChaosParams{5, 1111}, ChaosParams{5, 1212}));
+                      ChaosParams{4, 1010}, ChaosParams{5, 1111}, ChaosParams{5, 1212},
+                      ChaosParams{6, 1313}, ChaosParams{6, 1414}, ChaosParams{7, 1515},
+                      ChaosParams{7, 1616}));
+
+// Seeds that stranded threads in a per-CPU policy. A per-CPU agent that ran
+// again while its CPU still held a latched local commit failed the next
+// commit ETXNPENDING, re-queued the thread and spun without ever leaving the
+// CPU, so the latched thread and every thread behind it never ran (O1 with
+// every op; the FIFO with only CFS intruders). AbTest lacked the FIFO's
+// affinity re-homing, so a thread whose affinity excluded its home CPU was
+// never committed anywhere (affinity flips only). Each case failed before
+// the three policies shared one per-CPU loop; the extra seeds per row pass
+// either way.
+INSTANTIATE_TEST_SUITE_P(
+    PerCpuStrandings, ChaosTest,
+    ::testing::Values(ChaosParams{6, 40}, ChaosParams{6, 1616}, ChaosParams{6, 7},
+                      ChaosParams{6, 77},
+                      ChaosParams{0, 10, kCfsIntruder}, ChaosParams{0, 133, kCfsIntruder},
+                      ChaosParams{0, 147, kCfsIntruder}, ChaosParams{0, 182, kCfsIntruder},
+                      ChaosParams{0, 5, kCfsIntruder}, ChaosParams{0, 55, kCfsIntruder},
+                      ChaosParams{7, 39, kAffinityFlip}, ChaosParams{7, 82, kAffinityFlip},
+                      ChaosParams{7, 122, kAffinityFlip}, ChaosParams{7, 148, kAffinityFlip},
+                      ChaosParams{7, 149, kAffinityFlip}, ChaosParams{7, 3, kAffinityFlip},
+                      ChaosParams{7, 33, kAffinityFlip}));
 
 }  // namespace
 }  // namespace gs
