@@ -38,16 +38,24 @@ void NetworkModel::SetLink(int from, int to, Duration latency, double bytes_per_
   min_latency_ = std::min(min_latency_, latency);
 }
 
+namespace {
+
+// `t + d` for d >= 0, stuck at kTimeNever instead of wrapping: a link whose
+// backlog runs past the end of time delivers never, not in the past.
+Time SaturatingAdd(Time t, Duration d) { return t > kTimeNever - d ? kTimeNever : t + d; }
+
+}  // namespace
+
 void NetworkModel::Enqueue(int src, int dst, int64_t bytes, Time send_time,
                            std::function<void()> fn) {
   const Link& l = link(src, dst);
   const Duration transmit =
       static_cast<Duration>(static_cast<double>(bytes) / l.bytes_per_ns);
   Time& busy = busy_until(src, dst);
-  const Time depart = std::max(send_time, busy) + transmit;
+  const Time depart = SaturatingAdd(std::max(send_time, busy), transmit);
   busy = depart;
   outbox_[src].push_back(
-      Pending{depart + l.latency, src, dst, seq_[src]++, std::move(fn)});
+      Pending{SaturatingAdd(depart, l.latency), src, dst, seq_[src]++, std::move(fn)});
 }
 
 void NetworkModel::Send(int src, int dst, int64_t bytes, std::function<void()> deliver) {

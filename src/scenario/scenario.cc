@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "src/base/logging.h"
+#include "src/base/time.h"
 
 namespace gs {
 namespace scenario {
@@ -42,6 +43,24 @@ using Allowed = std::span<const char* const>;
 constexpr double kInt64Ns = 0x1p63;
 
 std::string Quote(std::string_view s) { return "\"" + std::string(s) + "\""; }
+
+// Sums "_ms" durations the way the run does (FromMs each, then int64
+// addition) and records whether the sum overflowed. A value that breaks the
+// duration rule on its own is skipped: that rule reports it by its key.
+class NsSum {
+ public:
+  NsSum& Add(double ms) {
+    if (std::abs(ms) * 1e6 < kInt64Ns) {
+      overflow_ |= __builtin_add_overflow(sum_, FromMs(ms), &sum_);
+    }
+    return *this;
+  }
+  bool fits() const { return !overflow_; }
+
+ private:
+  Duration sum_ = 0;
+  bool overflow_ = false;
+};
 
 // Strict reader of one JSON object: every key it reads is consumed, and
 // Finish() rejects anything left over, so a typo surfaces as `unknown key
@@ -428,6 +447,9 @@ void Visit(auto& v, Spec<ScenarioSpec> auto& s) {
   v.Check(!s.name.empty(), s.name, "must be a non-empty string");
   v.Check(s.warmup_ms >= 0 && s.measure_ms > 0 && s.drain_ms >= 0, s.measure_ms,
           R"(must be > 0 and "warmup_ms"/"drain_ms" >= 0)");
+  // The run's end time; every machine and the fleet run to it.
+  v.Check(NsSum().Add(s.warmup_ms).Add(s.measure_ms).Add(s.drain_ms).fits(),
+          R"("warmup_ms" + "measure_ms" + "drain_ms" does not fit in int64 nanoseconds)");
   v.Object("topology", s.topology);
   v.Object("policy", s.policy);
   v.Object("enclave", s.enclave);
@@ -524,6 +546,12 @@ void Visit(auto& v, Spec<WorkloadSpec> auto& w) {
   v.Check(w.fanout >= 1, w.fanout, "must be >= 1");
   v.Check(w.kind != "vm" || (w.num_vms >= 1 && w.vcpus_per_vm >= 1),
           "num_vms and vcpus_per_vm must be >= 1");
+  // The phases run back to back from time 0, so their sum is an end time.
+  NsSum phases;
+  for (const LoadPhase& p : w.phases) {
+    phases.Add(p.duration_ms);
+  }
+  v.Check(phases.fits(), R"(the summed "phases[].duration_ms" does not fit in int64 nanoseconds)");
 }
 
 void Visit(auto& v, Spec<ServiceSpec> auto& s) {

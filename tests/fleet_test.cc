@@ -62,6 +62,26 @@ TEST(NetworkModelTest, LinkBandwidthSerializesBackToBackSends) {
   EXPECT_EQ(deliveries[1], Microseconds(52));
 }
 
+TEST(NetworkModelTest, BacklogPastTheEndOfTimeDeliversNever) {
+  EventLoop a;
+  EventLoop b;
+  NetworkModel::Options options;
+  options.default_latency = Microseconds(50);
+  options.default_bytes_per_ns = 2.5e-16;  // 1500 B take 6e18 ns, under 2^63
+  NetworkModel net({&a, &b}, options);
+
+  // The second send queues behind the first and would depart at 1.2e19 ns,
+  // past int64: it must saturate at kTimeNever rather than wrap into the
+  // past.
+  int delivered = 0;
+  net.Send(0, 1, 1500, [&] { ++delivered; });
+  net.Send(0, 1, 1500, [&] { ++delivered; });
+  net.FlushAtBarrier();
+  b.RunUntil(kTimeNever - 1);
+  EXPECT_EQ(delivered, 1);  // the first, at 6e18 ns + 50 us
+  EXPECT_EQ(b.pending_count(), 1u);
+}
+
 TEST(NetworkModelTest, FlushOrderBreaksTiesByDstThenSrcThenSeq) {
   EventLoop a;
   EventLoop b;
@@ -300,6 +320,18 @@ TEST(ClusterTest, PartitionHealChaosLeavesInvariantsClean) {
   const std::string again =
       scenario::RenderGolden(scenario::RunScenario(spec, nullptr, 1));
   EXPECT_EQ(again, scenario::RenderGolden(scenario::RunScenario(spec, nullptr, 8)));
+}
+
+TEST(ClusterTest, LinkSlowerThanTheRunStrandsRequestsWithoutAborting) {
+  // Each request takes 6e18 ns to send, so the link's backlog passes int64
+  // within a few requests; those requests stay in flight instead.
+  const scenario::ScenarioSpec spec = ParseSpec(R"json({
+    "name": "y", "workload": {"phases": [{"duration_ms": 100, "qps": 20000}]},
+    "fleet": {"machines": 2, "network": {"bandwidth_gbps": 2e-15}}})json");
+  const scenario::ScenarioResult result = scenario::RunScenario(spec);
+  EXPECT_GT(result.exact.at("generated"), 0);
+  EXPECT_EQ(result.exact.at("completed"), 0);
+  EXPECT_EQ(result.exact.at("invariants_ok"), 1);
 }
 
 TEST(ClusterTest, SingleMachineFleetIsValid) {

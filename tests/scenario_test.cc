@@ -198,6 +198,17 @@ TEST(ScenarioParseTest, EveryErrorMessageIsPinned) {
       {R"({"name": "x", "fleet": {"machines": 2, "overrides": [{"machine": 1,
            "enclave": {"watchdog_timeout_ms": 1e-7}}]}})",
        R"("fleet.overrides[0].enclave.watchdog_timeout_ms" would truncate to 0 ns)"},
+      // End times: each part passes the duration rule, their sum does not.
+      {R"({"name": "x", "warmup_ms": 5e12, "measure_ms": 5e12})",
+       R"("warmup_ms" + "measure_ms" + "drain_ms" does not fit in int64 nanoseconds)"},
+      {R"({"name": "x", "workload": {"phases": [{"duration_ms": 5e12},
+           {"duration_ms": 5e12}]}})",
+       R"("workload": the summed "phases[].duration_ms" does not fit in int64 )"
+       R"(nanoseconds)"},
+      {R"({"name": "x", "fleet": {"machines": 2, "overrides": [{"machine": 1,
+           "workload": {"phases": [{"duration_ms": 5e12}, {"duration_ms": 5e12}]}}]}})",
+       R"("fleet.overrides[0].workload": the summed "phases[].duration_ms" does not )"
+       R"(fit in int64 nanoseconds)"},
       {R"({"name": "x", "policy": {"kind": "ab_test"},
            "ab_test": {"canary": {"percent": 101}}})",
        R"("ab_test.canary.percent" must be in [0, 100])"},
