@@ -30,9 +30,11 @@
 //  * messages about threads the table does not know (already dead) are
 //    dropped before any hook fires, but still count in drained().
 //
-// PerCpuFifoPolicy (src/policies/per_cpu_fifo.*) is the per-CPU reference
-// consumer; GlobalAgentPolicy (src/agent/sdk/global_agent.h) adds the
-// centralized shape.
+// Two SDK shapes sit on it: PerCpuAgentPolicy (src/agent/sdk/per_cpu_agent.h)
+// is the per-CPU one (Fig 3) and GlobalAgentPolicy
+// (src/agent/sdk/global_agent.h) the centralized one (Fig 4). Subclass
+// Policy directly only to hand-roll the loop, as the policy fuzzer's hostile
+// policies do.
 #ifndef GHOST_SIM_SRC_AGENT_POLICY_H_
 #define GHOST_SIM_SRC_AGENT_POLICY_H_
 

@@ -40,7 +40,7 @@ void AbTestPolicy::TaskYield(AgentContext& ctx, PolicyTask* task, const Message&
 }
 
 void AbTestPolicy::TaskDead(AgentContext& ctx, PolicyTask* task, const Message& msg) {
-  // Departed (moved out of the enclave alive) is not a completion.
+  // Only a death completes a thread; a departed one left the enclave alive.
   const int lane = LaneOf(task->tid);
   ++lanes_[lane].completed;
   stat_completed_[lane]->Inc();

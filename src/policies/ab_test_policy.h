@@ -46,7 +46,6 @@ class AbTestPolicy : public PerCpuFifoPolicy {
 
   // Lane membership: stable hash of the tid, independent of arrival order,
   // so split-run counters partition a single-policy run's totals exactly.
-  // Survives Restore() and swaps: it is recomputed from the tid.
   bool InCanary(int64_t tid) const;
 
   struct LaneCounters {
