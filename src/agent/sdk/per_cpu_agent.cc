@@ -102,17 +102,19 @@ void PerCpuAgentPolicy::TaskYield(AgentContext& ctx, PolicyTask* task, const Mes
   Enqueue(ctx, task, QueueAt::kBack);
 }
 
-void PerCpuAgentPolicy::TaskBlocked(AgentContext& ctx, PolicyTask* task, const Message& msg) {
+void PerCpuAgentPolicy::Dequeue(AgentContext& ctx, PolicyTask* task) {
   if (task->queued) {
     Remove(task, HomeOf(task->tid, ctx.agent_cpu()));
     task->queued = false;
   }
 }
 
+void PerCpuAgentPolicy::TaskBlocked(AgentContext& ctx, PolicyTask* task, const Message& msg) {
+  Dequeue(ctx, task);
+}
+
 void PerCpuAgentPolicy::Evict(AgentContext& ctx, PolicyTask* task) {
-  if (task->queued) {
-    Remove(task, HomeOf(task->tid, ctx.agent_cpu()));
-  }
+  Dequeue(ctx, task);
   home_cpu_.Erase(task->tid);
   UntrackTask(task);
   // The Policy base removes the TaskTable entry after this hook.
@@ -201,20 +203,16 @@ AgentAction PerCpuAgentPolicy::Schedule(AgentContext& ctx) {
     ++estale_failures_;
     return AgentAction::kRunAgain;  // drain the newer messages and retry
   }
-  // Other failure: if the thread may no longer run here, re-home it;
-  // otherwise push it to the back and retry next time around.
+  // Other failure: retry from the back of the queue, on another home if
+  // the thread may no longer run here.
   if (!next->runnable) {
     return AgentAction::kRunAgain;
   }
+  const int home = next->affinity.IsSet(cpu) ? cpu : FirstAllowedCpu(next, cpu);
+  home_cpu_.Insert(next->tid, home);
   next->queued = true;
-  if (next->affinity.IsSet(cpu)) {
-    Push(next, cpu, QueueAt::kBack);
-    return AgentAction::kRunAgain;
-  }
-  const int new_home = FirstAllowedCpu(next, cpu);
-  home_cpu_.Insert(next->tid, new_home);
-  Push(next, new_home, QueueAt::kBack);
-  NotifyAgent(ctx, new_home);
+  Push(next, home, QueueAt::kBack);
+  NotifyAgent(ctx, home);
   return AgentAction::kRunAgain;
 }
 

@@ -94,6 +94,8 @@ class PerCpuAgentPolicy : public Policy {
   void TaskAffinity(AgentContext& ctx, PolicyTask* task, const Message& msg) final;
 
  private:
+  // Drops a thread's runqueue link, if it has one.
+  void Dequeue(AgentContext& ctx, PolicyTask* task);
   // Drops a thread's runqueue link, home and per-task state (dead/departed).
   void Evict(AgentContext& ctx, PolicyTask* task);
   // Wakes the (blocked) agent of `cpu` so it notices freshly queued work.
