@@ -228,9 +228,10 @@ INSTANTIATE_TEST_SUITE_P(
 // CPU, so the latched thread and every thread behind it never ran (O1 with
 // every op; the FIFO with only CFS intruders). AbTest lacked the FIFO's
 // affinity re-homing, so a thread whose affinity excluded its home CPU was
-// never committed anywhere (affinity flips only). Each case failed before
-// the three policies shared one per-CPU loop; the extra seeds per row pass
-// either way.
+// never committed anywhere (affinity flips only). O1 seeds 40 and 1616, FIFO
+// seeds 10, 133, 147 and 182 and AbTest seeds 39, 82, 122, 148 and 149
+// failed before the three policies shared one per-CPU loop; the other seeds
+// of each row pass either way.
 INSTANTIATE_TEST_SUITE_P(
     PerCpuStrandings, ChaosTest,
     ::testing::Values(ChaosParams{6, 40}, ChaosParams{6, 1616}, ChaosParams{6, 7},
