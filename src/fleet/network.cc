@@ -69,26 +69,26 @@ void NetworkModel::Send(int src, int dst, int64_t bytes, std::function<void()> d
 }
 
 void NetworkModel::FlushAtBarrier() {
-  std::vector<Pending> all;
   for (std::vector<Pending>& box : outbox_) {
     for (Pending& p : box) {
-      all.push_back(std::move(p));
+      flush_.push_back(std::move(p));
     }
     box.clear();
   }
   // The canonical delivery order: time, then destination, then source, then
   // per-source sequence. Total and independent of which thread advanced
   // which loop, so the schedule is byte-identical for any --jobs.
-  std::sort(all.begin(), all.end(), [](const Pending& a, const Pending& b) {
+  std::sort(flush_.begin(), flush_.end(), [](const Pending& a, const Pending& b) {
     if (a.deliver != b.deliver) return a.deliver < b.deliver;
     if (a.dst != b.dst) return a.dst < b.dst;
     if (a.src != b.src) return a.src < b.src;
     return a.seq < b.seq;
   });
-  for (Pending& p : all) {
+  for (Pending& p : flush_) {
     ++delivered_;
     loops_[p.dst]->ScheduleAt(p.deliver, std::move(p.fn));
   }
+  flush_.clear();
 }
 
 void NetworkModel::SetNodeLinked(int node, bool linked, Time now) {

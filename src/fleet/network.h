@@ -106,6 +106,9 @@ class NetworkModel {
   std::vector<uint64_t> seq_;
   std::vector<int64_t> parked_total_;
   std::vector<char> linked_;
+  // FlushAtBarrier's merge of the outboxes; kept so that a barrier reuses
+  // its capacity instead of allocating.
+  std::vector<Pending> flush_;
   int64_t delivered_ = 0;
 };
 
