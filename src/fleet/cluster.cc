@@ -1,10 +1,13 @@
 #include "src/fleet/cluster.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <functional>
+#include <thread>
 #include <utility>
 
 #include "src/base/logging.h"
-#include "src/sim/batch_runner.h"
 
 namespace gs {
 namespace fleet {
@@ -12,6 +15,94 @@ namespace {
 
 // Gbps -> bytes per simulated nanosecond.
 double BytesPerNs(double gbps) { return gbps / 8.0; }
+
+// Waits for `done()`: spins first, then yields the CPU between checks. An
+// epoch holds tens of microseconds of work, less than a futex sleep and
+// wake-up would add to it; the yields keep more workers than free CPUs from
+// starving the ones with work left.
+template <typename Done>
+void SpinThenYield(Done done) {
+  constexpr int kSpins = 4096;
+  for (int spins = 0; !done(); ++spins) {
+    if (spins >= kSpins) {
+      std::this_thread::yield();
+    }
+  }
+}
+
+// The threads that advance a fleet's nodes, alive for one RunFleet. The
+// calling thread is worker 0 and `workers` - 1 threads are started, none for
+// one worker. Run() is one epoch: it publishes the epoch's end by bumping a
+// generation counter, runs advance(0, until) and waits until every other
+// worker has run advance(w, until) for the same epoch.
+class EpochPool {
+ public:
+  EpochPool(int workers, std::function<void(int worker, Time until)> advance)
+      : advance_(std::move(advance)), errors_(static_cast<size_t>(workers)) {
+    threads_.reserve(static_cast<size_t>(workers - 1));
+    for (int w = 1; w < workers; ++w) {
+      threads_.emplace_back([this, w] { Work(w); });
+    }
+  }
+  ~EpochPool() {
+    stop_ = true;
+    generation_.fetch_add(1, std::memory_order_release);
+    for (std::thread& thread : threads_) {
+      thread.join();
+    }
+  }
+  EpochPool(const EpochPool&) = delete;
+  EpochPool& operator=(const EpochPool&) = delete;
+
+  // Rethrows the exception of the lowest-numbered worker that raised one.
+  void Run(Time until) {
+    until_ = until;
+    busy_.store(static_cast<int>(threads_.size()), std::memory_order_relaxed);
+    generation_.fetch_add(1, std::memory_order_release);
+    Advance(0);
+    SpinThenYield([this] { return busy_.load(std::memory_order_acquire) == 0; });
+    for (std::exception_ptr& error : errors_) {
+      if (error) {
+        std::rethrow_exception(std::exchange(error, nullptr));
+      }
+    }
+  }
+
+ private:
+  void Work(int worker) {
+    uint64_t seen = 0;
+    for (;;) {
+      uint64_t generation = seen;
+      SpinThenYield([&] {
+        generation = generation_.load(std::memory_order_acquire);
+        return generation != seen;
+      });
+      seen = generation;
+      if (stop_) {
+        return;
+      }
+      Advance(worker);
+      busy_.fetch_sub(1, std::memory_order_release);
+    }
+  }
+
+  void Advance(int worker) {
+    try {
+      advance_(worker, until_);
+    } catch (...) {
+      errors_[static_cast<size_t>(worker)] = std::current_exception();
+    }
+  }
+
+  const std::function<void(int, Time)> advance_;
+  std::vector<std::exception_ptr> errors_;  // slot w: worker w's, this epoch
+  // Written by worker 0 before it bumps generation_, read after it.
+  Time until_ = 0;
+  bool stop_ = false;
+  std::atomic<uint64_t> generation_{0};
+  std::atomic<int> busy_{0};  // started threads still in this epoch
+  std::vector<std::thread> threads_;
+};
 
 }  // namespace
 
@@ -236,29 +327,36 @@ void Cluster::RunFleet() {
     ++next_cut;
   }
 
-  BatchRunner runner(jobs_);
+  // Node k (machine k, the front end last) belongs to worker k mod J for
+  // the whole run, so a machine never changes thread. Nodes share nothing
+  // mid-epoch: the pool changes wall-clock time, never results.
   const int nodes = num_machines() + 1;
-  Time t = 0;
-  while (t < t_end) {
-    Time next = std::min(t + lookahead, t_end);
-    if (next_cut < link_cuts_.size() && link_cuts_[next_cut] > t) {
-      next = std::min(next, link_cuts_[next_cut]);
-    }
-    // Advance every node to the barrier. Nodes share nothing mid-epoch, so
-    // the pool only changes wall-clock time, never results.
-    runner.Run(nodes, [&](int node) {
-      if (node < num_machines()) {
-        machines_[node]->AdvanceUntil(next);
-      } else {
-        frontend_loop_->RunUntil(next);
+  const int hardware = static_cast<int>(std::thread::hardware_concurrency());
+  const int workers = std::clamp(jobs_ == 0 ? hardware : jobs_, 1, nodes);
+  {  // the pool's threads end with the last epoch
+    EpochPool pool(workers, [this, nodes, workers](int worker, Time until) {
+      for (int node = worker; node < nodes; node += workers) {
+        if (node < num_machines()) {
+          machines_[node]->AdvanceUntil(until);
+        } else {
+          frontend_loop_->RunUntil(until);
+        }
       }
     });
-    network_->FlushAtBarrier();
-    if (next_cut < link_cuts_.size() && link_cuts_[next_cut] == next) {
-      apply_link_events_at(next);
-      ++next_cut;
+    Time t = 0;
+    while (t < t_end) {
+      Time next = std::min(t + lookahead, t_end);
+      if (next_cut < link_cuts_.size() && link_cuts_[next_cut] > t) {
+        next = std::min(next, link_cuts_[next_cut]);
+      }
+      pool.Run(next);
+      network_->FlushAtBarrier();
+      if (next_cut < link_cuts_.size() && link_cuts_[next_cut] == next) {
+        apply_link_events_at(next);
+        ++next_cut;
+      }
+      t = next;
     }
-    t = next;
   }
   for (const std::unique_ptr<MachineSim>& machine : machines_) {
     machine->FinishChecks();

@@ -7,10 +7,12 @@
 //
 // Execution is conservative-lookahead lockstep (see network.h): the run is
 // cut into epochs no longer than the minimum link latency; each epoch every
-// node's loop advances independently (optionally on a BatchRunner pool —
-// nodes share nothing mid-epoch), then the barrier flushes cross-node
-// messages in canonical order and applies any link state changes scheduled
-// at that instant. Results are byte-identical for every --jobs value.
+// node's loop advances independently (nodes share nothing mid-epoch), then
+// the barrier flushes cross-node messages in canonical order and applies any
+// link state changes scheduled at that instant. With jobs J >= 2 the nodes
+// advance on J workers that live for the whole run (node k on worker k mod
+// J; the calling thread is worker 0); with J <= 1 no thread is started.
+// Results are byte-identical for every --jobs value.
 //
 // A spec without a fleet block is the degenerate one-node cluster: one
 // MachineSim borrowing the caller's registry, run via RunLocal() — the
@@ -40,8 +42,8 @@ class Cluster {
   // `stats`: harness registry to record into (nullptr = no metrics). In
   // fleet mode each machine owns a private registry (so epochs can run on
   // threads) and the cluster merges them into `stats` in machine order at
-  // collect time. `jobs` caps per-machine parallelism within an epoch;
-  // results are independent of it.
+  // collect time. `jobs` is the number of epoch workers (0: one per
+  // hardware thread), at most one per node; results are independent of it.
   Cluster(const scenario::ScenarioSpec& spec, StatsRegistry* stats, int jobs);
   ~Cluster();
 
