@@ -636,7 +636,7 @@ void Visit(auto& v, Spec<FleetSpec> auto& f, const ScenarioSpec& base) {
   v.Key("machines", f.machines);
   v.Key("sessions", f.sessions);
   v.Key("rpc_fanout", f.rpc_fanout);
-  v.Check(f.machines >= 1 && f.machines <= 64, f.machines, "must be in [1, 64]");
+  v.Check(f.machines >= 1 && f.machines <= 256, f.machines, "must be in [1, 256]");
   v.Check(f.sessions >= 1, f.sessions, "must be >= 1");
   v.Check(f.rpc_fanout >= 1 && f.rpc_fanout <= f.machines, f.rpc_fanout,
           "must be in [1, fleet.machines]");

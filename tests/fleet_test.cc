@@ -281,6 +281,38 @@ TEST(ClusterTest, ResultIsByteIdenticalSerialVsJobs) {
   }
 }
 
+// fleet_rpc (perfbench/workloads) with machines, sessions and qps x32 and a
+// 5 ms horizon: the largest fleet the schema accepts.
+constexpr char kFleet256Spec[] = R"json({
+  "name": "fleet_256",
+  "seed": 42,
+  "warmup_ms": 1, "measure_ms": 3, "drain_ms": 1,
+  "topology": {"preset": "custom", "sockets": 1, "cores_per_socket": 2, "smt": 2, "cores_per_ccx": 2},
+  "policy": {"kind": "per_cpu_fifo"},
+  "enclave": {"cpu_first": 1},
+  "workload": {
+    "kind": "request_service", "num_workers": 24,
+    "service": {"model": "exponential", "mean_us": 100},
+    "phases": [{"duration_ms": 4, "qps": 2560000}]
+  },
+  "invariants": {"enabled": true, "period_us": 250},
+  "fleet": {
+    "machines": 256, "sessions": 16384, "rpc_fanout": 2,
+    "balancer": {"policy": "least_loaded", "shed_outstanding": 48},
+    "network": {"latency_us": 50, "bandwidth_gbps": 10, "request_bytes": 1500, "response_bytes": 4096}
+  }
+})json";
+
+TEST(ClusterTest, TwoHundredFiftySixMachinesMatchOnOneAndFourJobs) {
+  const scenario::ScenarioSpec spec = ParseSpec(kFleet256Spec);
+  const scenario::ScenarioResult serial = scenario::RunScenario(spec, nullptr, 1);
+  EXPECT_GT(serial.exact.at("completed"), 0);
+  EXPECT_GT(serial.exact.at("m255_completed"), 0);
+  EXPECT_EQ(serial.exact.at("invariants_ok"), 1);
+  EXPECT_EQ(scenario::RenderGolden(serial),
+            scenario::RenderGolden(scenario::RunScenario(spec, nullptr, 4)));
+}
+
 TEST(ClusterTest, RepeatedRunsAreByteIdentical) {
   const scenario::ScenarioSpec spec = ParseSpec(kFleetSpec);
   const std::string first =

@@ -261,7 +261,7 @@ TEST(ScenarioParseTest, EveryErrorMessageIsPinned) {
            "network": {"links": [{"from": -1, "to": 1, "bandwidth_gbps": 1e-300}]}}})",
        R"("fleet.network.links[0].bandwidth_gbps" is too low: sending request_bytes or )"
        R"(response_bytes takes 2^63 ns or more)"},
-      {R"({"name": "x", "fleet": {"machines": 65}})", R"("fleet.machines" must be in [1, 64])"},
+      {R"({"name": "x", "fleet": {"machines": 257}})", R"("fleet.machines" must be in [1, 256])"},
       {R"({"name": "x", "fleet": {"sessions": 0}})", R"("fleet.sessions" must be >= 1)"},
       {R"({"name": "x", "fleet": {"rpc_fanout": 2}})",
        R"("fleet.rpc_fanout" must be in [1, fleet.machines])"},
@@ -475,7 +475,7 @@ TEST(ScenarioParseTest, FleetOverrideUnknownKeyHasFullPath) {
 TEST(ScenarioParseTest, FleetMachineCountIsBounded) {
   std::string error;
   EXPECT_FALSE(
-      ScenarioSpec::Parse(WithFleet(R"({"machines": 65})"), &error).has_value());
+      ScenarioSpec::Parse(WithFleet(R"({"machines": 257})"), &error).has_value());
   EXPECT_NE(error.find("fleet.machines"), std::string::npos) << error;
 }
 
