@@ -32,7 +32,7 @@ void PerCpuAgentPolicy::Restore(const std::vector<Enclave::TaskInfo>& dump) {
     task->affinity = info.affinity;
     task->runnable = info.runnable;
     TrackTask(task);
-    const int home = NextHomeCpu();
+    const int home = NextHomeCpu(task);
     home_cpu_.Insert(info.tid, home);
     enclave_->AssociateQueue(info.tid, queues_[home]);
     if (info.runnable && !info.on_cpu) {
@@ -42,10 +42,10 @@ void PerCpuAgentPolicy::Restore(const std::vector<Enclave::TaskInfo>& dump) {
   }
 }
 
-int PerCpuAgentPolicy::NextHomeCpu() {
+int PerCpuAgentPolicy::NextHomeCpu(const PolicyTask* task) {
   const int cpu = cpu_list_[rr_next_ % cpu_list_.size()];
   ++rr_next_;
-  return cpu;
+  return task->affinity.IsSet(cpu) ? cpu : FirstAllowedCpu(task, cpu);
 }
 
 int PerCpuAgentPolicy::FirstAllowedCpu(const PolicyTask* task, int fallback) const {
@@ -78,7 +78,7 @@ void PerCpuAgentPolicy::Enqueue(AgentContext& ctx, PolicyTask* task, QueueAt at)
 
 void PerCpuAgentPolicy::TaskNew(AgentContext& ctx, PolicyTask* task, const Message& msg) {
   TrackTask(task);
-  const int home = NextHomeCpu();
+  const int home = NextHomeCpu(task);
   home_cpu_.Insert(msg.tid, home);
   ctx.Charge(ctx.kernel()->cost().syscall);
   // May fail if more messages are pending on the default queue for this

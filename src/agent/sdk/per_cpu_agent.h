@@ -4,7 +4,8 @@
 //  * Every enclave CPU gets a message queue that wakes that CPU's agent. The
 //    agent on the first enclave CPU (the boss) also drains the default
 //    queue, where new threads are announced, and homes each one round-robin
-//    on a CPU with ASSOCIATE_QUEUE.
+//    on a CPU with ASSOCIATE_QUEUE (on the first allowed CPU instead when
+//    the thread's affinity excludes the round-robin pick).
 //  * A runnable thread waits in its home CPU's runqueue. Queueing work for
 //    another CPU wakes (or pokes) that CPU's agent. An affinity change that
 //    excludes the home CPU re-homes the thread on the first allowed one.
@@ -35,8 +36,8 @@ class PerCpuAgentPolicy : public Policy {
   // Subclasses that override this call it first.
   void Attached(AgentProcess* process, Enclave* enclave, Kernel* kernel) override;
   // Full-view replacement (also the overflow-resync path): empties the
-  // runqueues, rebuilds the table from the dump, homes every thread
-  // round-robin and queues the runnable ones that are not on a CPU.
+  // runqueues, rebuilds the table from the dump, homes every thread as
+  // TaskNew does and queues the runnable ones that are not on a CPU.
   void Restore(const std::vector<Enclave::TaskInfo>& dump) final;
 
   // Local commits that took / failed ESTALE.
@@ -100,8 +101,9 @@ class PerCpuAgentPolicy : public Policy {
   void Evict(AgentContext& ctx, PolicyTask* task);
   // Wakes the (blocked) agent of `cpu` so it notices freshly queued work.
   void NotifyAgent(AgentContext& ctx, int cpu);
-  // Round-robin target for newly arrived threads.
-  int NextHomeCpu();
+  // Home for a newly arrived thread: the next CPU round-robin, or the first
+  // CPU the thread may run on when its affinity excludes that one.
+  int NextHomeCpu(const PolicyTask* task);
   // The first enclave CPU `task` may run on, or `fallback` if none.
   int FirstAllowedCpu(const PolicyTask* task, int fallback) const;
   int HomeOf(int64_t tid, int fallback) const {

@@ -92,6 +92,26 @@ TEST_F(AgentTest, PerCpuFifoSchedulingLatencyIsMicroscale) {
   EXPECT_LT(done - start, Microseconds(10) + Microseconds(10));
 }
 
+TEST_F(AgentTest, PerCpuFifoHomesAPinnedThreadOnAnAllowedCpu) {
+  // The round-robin points at CPU 0 for the first thread, which may only
+  // run on CPU 1.
+  Build(2, std::make_unique<PerCpuFifoPolicy>());
+  Kernel& kernel = machine_->kernel();
+  Task* task = kernel.CreateTask("pinned");
+  kernel.SetAffinity(task, CpuMask::Single(1));
+  enclave_->AddTask(task);
+  machine_->RunFor(Microseconds(50));
+  // Its messages go to CPU 1's queue, whose agent schedules it.
+  EXPECT_EQ(enclave_->Find(task->tid())->queue->wakeup_agent(), process_->agent_on(1));
+
+  kernel.StartBurst(task, Microseconds(10), [&kernel](Task* t) { kernel.Exit(t); });
+  kernel.Wake(task);
+  machine_->RunFor(Milliseconds(1));
+  EXPECT_EQ(task->state(), TaskState::kDead);
+  EXPECT_EQ(enclave_->txns_committed(), 1u);
+  EXPECT_EQ(enclave_->txns_failed(), 0u) << "the first commit must not be on CPU 0";
+}
+
 TEST_F(AgentTest, CentralizedFifoRunsTasksAcrossCpus) {
   Build(4, std::make_unique<CentralizedFifoPolicy>());
   std::vector<Task*> tasks;
