@@ -9,11 +9,8 @@
 #include <memory>
 
 #include "bench/harness.h"
-#include "bench/machine_trace.h"
-#include "src/agent/agent_process.h"
+#include "bench/testbeds.h"
 #include "src/policies/search.h"
-#include "src/sim/simulation.h"
-#include "src/workloads/search_workload.h"
 
 namespace gs {
 namespace {
@@ -26,31 +23,19 @@ struct Result {
 };
 
 Result Run(bench::Run& run, bool ccx_aware, Duration max_pending) {
-  SimulationContext m({.topology = Topology::AmdRome256(), .cost = CostModel().WithCacheWarmth(),
-                       .stats = &run.stats()});
-  bench::ScopedMachineTrace trace_scope(run, m.kernel());
-  auto enclave = m.CreateEnclave(m.kernel().topology().AllCpus());
   SearchPolicy::Options options;
   options.global_cpu = 0;
   options.ccx_aware = ccx_aware;
   options.max_pending_before_migrate = max_pending;
   auto policy = std::make_unique<SearchPolicy>(options);
-  SearchPolicy* policy_ptr = policy.get();
-  AgentProcess process(&m.kernel(), m.ghost_class(), enclave.get(), std::move(policy));
-  process.Start();
-
-  SearchWorkload workload(&m.kernel(), {.seed = run.seed()});
-  for (Task* worker : workload.workers()) {
-    enclave->AddTask(worker);
-  }
-  workload.Start(kRun);
-  m.RunFor(kRun + Milliseconds(200));
-
+  const SearchPolicy* policy_ptr = policy.get();
   Result r;
-  r.p99_a = workload.latency(SearchWorkload::kA).PercentileUs(99);
-  r.p99_b = workload.latency(SearchWorkload::kB).PercentileUs(99);
-  r.p99_c = workload.latency(SearchWorkload::kC).PercentileUs(99);
-  r.deferred = policy_ptr->deferred_for_warmth();
+  bench::RunFig8Search(run, std::move(policy), kRun, run.seed(), [&](SearchWorkload& workload) {
+    r.p99_a = workload.latency(SearchWorkload::kA).PercentileUs(99);
+    r.p99_b = workload.latency(SearchWorkload::kB).PercentileUs(99);
+    r.p99_c = workload.latency(SearchWorkload::kC).PercentileUs(99);
+    r.deferred = policy_ptr->deferred_for_warmth();
+  });
   return r;
 }
 

@@ -14,19 +14,14 @@
 //     the physical core's pipeline,
 //   ❸ degradation as remote-socket CPUs add cross-NUMA commit costs.
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "bench/harness.h"
-#include "bench/machine_trace.h"
-#include "src/agent/agent_process.h"
-#include "src/policies/centralized_fifo.h"
-#include "src/sim/simulation.h"
+#include "bench/testbeds.h"
 
 namespace gs {
 namespace {
 
-constexpr Duration kTaskBurst = Microseconds(10);
 constexpr Duration kMeasure = Milliseconds(300);
 
 // CPU fill order: agent's socket cores first (skipping the agent CPU), then
@@ -56,59 +51,17 @@ std::vector<int> FillOrder(const Topology& topo, int agent_cpu) {
   return order;
 }
 
-// Workers that run `kTaskBurst` then block and immediately re-wake, so the
-// agent must issue one transaction per burst.
-// Arms one burst; on completion the worker blocks, re-arms, and re-wakes
-// 100 ns later — a self-rearming chain with no per-cycle heap allocation
-// (the old shared_ptr<std::function> self-capture leaked and malloc'd).
-void ArmWorkerBurst(Kernel* k, Task* t) {
-  k->StartBurst(t, kTaskBurst, [k](Task* done) {
-    k->Block(done);
-    k->loop()->ScheduleAfter(Nanoseconds(100), [k, done] {
-      ArmWorkerBurst(k, done);
-      k->Wake(done);
-    });
-  });
-}
-
-void SpawnWorker(Kernel& kernel, Enclave& enclave, int index) {
-  Task* task = kernel.CreateTask("spin/" + std::to_string(index));
-  enclave.AddTask(task);
-  ArmWorkerBurst(&kernel, task);
-  kernel.Wake(task);
-}
-
-double RunPoint(bench::Run& run, const Topology& topo, int num_cpus) {
-  SimulationContext m({.topology = topo, .stats = &run.stats()});
-  bench::ScopedMachineTrace trace_scope(run, m.kernel());
+void RecordPoint(bench::Run& run, const char* machine, const Topology& topo, int n) {
   const int agent_cpu = 0;
-  const std::vector<int> order = FillOrder(m.kernel().topology(), agent_cpu);
-
+  const std::vector<int> order = FillOrder(topo, agent_cpu);
   CpuMask cpus = CpuMask::Single(agent_cpu);
-  for (int i = 0; i < num_cpus && i < static_cast<int>(order.size()); ++i) {
+  for (int i = 0; i < n && i < static_cast<int>(order.size()); ++i) {
     cpus.Set(order[i]);
   }
-  auto enclave = m.CreateEnclave(cpus);
   CentralizedFifoPolicy::Options options;
   options.global_cpu = agent_cpu;
-  AgentProcess process(&m.kernel(), m.ghost_class(), enclave.get(),
-                       std::make_unique<CentralizedFifoPolicy>(options));
-  process.Start();
-
   // ~2 runnable workers per scheduled CPU keeps every CPU saturated.
-  for (int i = 0; i < 2 * num_cpus; ++i) {
-    SpawnWorker(m.kernel(), *enclave, i);
-  }
-
-  m.RunFor(Milliseconds(50));  // warm up
-  const uint64_t before = enclave->txns_committed();
-  m.RunFor(kMeasure);
-  const uint64_t after = enclave->txns_committed();
-  return static_cast<double>(after - before) / ToSeconds(kMeasure) / 1e6;
-}
-
-void RecordPoint(bench::Run& run, const char* machine, const Topology& topo, int n) {
-  const double mtxn = RunPoint(run, topo, n);
+  const double mtxn = bench::RunFig5Commit(run, topo, cpus, options, 2 * n, kMeasure);
   std::printf("%8d %14.3f\n", n, mtxn);
   std::fflush(stdout);
   run.AddRow().Set("machine", machine).Set("cpus", n).Set("mtxn_per_sec", mtxn);
@@ -130,11 +83,11 @@ void RunMachine(bench::Run& run, const char* label, const char* machine,
 
 int main(int argc, char** argv) {
   gs::bench::Harness harness("fig5_scalability", argc, argv);
-  harness.Param("task_burst_us", static_cast<int64_t>(gs::kTaskBurst / 1000));
+  harness.Param("task_burst_us", static_cast<int64_t>(gs::bench::kFig5Burst / 1000));
   harness.Param("measure_ms", static_cast<int64_t>(gs::kMeasure / 1000000));
   std::printf("Fig 5 reproduction: global agent scalability (round-robin policy,\n"
               "%lld us tasks, group commits). Expect ramp, SMT dip, NUMA droop.\n",
-              static_cast<long long>(gs::kTaskBurst / 1000));
+              static_cast<long long>(gs::bench::kFig5Burst / 1000));
   harness.RunAll(1, [](gs::bench::Run& run) {
     gs::RunMachine(run, "Skylake (112 CPUs)", "skylake112",
                    gs::Topology::IntelSkylake112());

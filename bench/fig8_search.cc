@@ -10,13 +10,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "bench/harness.h"
-#include "bench/machine_trace.h"
-#include "src/agent/agent_process.h"
-#include "src/policies/factory.h"
-#include "src/sim/simulation.h"
-#include "src/workloads/search_workload.h"
+#include "bench/testbeds.h"
 
 namespace gs {
 namespace {
@@ -55,35 +52,12 @@ Series Collect(bench::Run& run, SearchWorkload& workload, const char* system) {
   return out;
 }
 
-Series RunCfs(bench::Run& run, uint64_t seed) {
-  SimulationContext m({.topology = Topology::AmdRome256(), .cost = CostModel().WithCacheWarmth(),
-                       .stats = &run.stats()});
-  SearchWorkload workload(&m.kernel(), {.seed = seed});
-  workload.Start(kRun);
-  m.RunFor(kRun + Milliseconds(200));
-  return Collect(run, workload, "cfs");
-}
-
-Series RunGhost(bench::Run& run, uint64_t seed) {
-  SimulationContext m({.topology = Topology::AmdRome256(), .cost = CostModel().WithCacheWarmth(),
-                       .stats = &run.stats()});
-  bench::ScopedMachineTrace trace_scope(run, m.kernel());
-  auto enclave = m.CreateEnclave(m.kernel().topology().AllCpus());
-  // Construct through the factory — the same path the scenario runner uses.
-  PolicyConfig config;
-  config.kind = "search";
-  config.global_cpu = 0;
-  AgentProcess process(&m.kernel(), m.ghost_class(), enclave.get(),
-                       MakePolicy(config, PolicyEnv{}));
-  process.Start();
-
-  SearchWorkload workload(&m.kernel(), {.seed = seed});
-  for (Task* worker : workload.workers()) {
-    enclave->AddTask(worker);
-  }
-  workload.Start(kRun);
-  m.RunFor(kRun + Milliseconds(200));
-  return Collect(run, workload, "ghost");
+// A null `policy` runs the CFS arm.
+Series RunArm(bench::Run& run, std::unique_ptr<Policy> policy, const char* system) {
+  Series out;
+  bench::RunFig8Search(run, std::move(policy), kRun, run.seed(),
+                       [&](SearchWorkload& workload) { out = Collect(run, workload, system); });
+  return out;
 }
 
 void PrintPanels(const Series& cfs, const Series& ghost) {
@@ -130,9 +104,11 @@ int main(int argc, char** argv) {
               "C: 8k qps x 8ms (long-living workers).\n",
               static_cast<long long>(kRun / 1000000000));
   harness.RunAll(21, [](bench::Run& run) {
-    Series cfs = RunCfs(run, run.seed());
+    Series cfs = RunArm(run, nullptr, "cfs");
     std::printf("[cfs run done]\n");
-    Series ghost = RunGhost(run, run.seed());
+    // Construct through the factory — the same path the scenario runner uses.
+    Series ghost = RunArm(run, MakePolicy({.kind = "search", .global_cpu = 0}, PolicyEnv{}),
+                          "ghost");
     std::printf("[ghost run done]\n");
     PrintPanels(cfs, ghost);
   });

@@ -18,115 +18,26 @@
 // differs from a scenario only in workload wiring.
 #include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bench/harness.h"
-#include "bench/machine_trace.h"
-#include "src/agent/agent_process.h"
-#include "src/policies/centralized_fifo.h"
-#include "src/policies/factory.h"
+#include "bench/testbeds.h"
 #include "src/policies/predictive_shinjuku.h"
 #include "src/policies/search.h"
-#include "src/sim/simulation.h"
-#include "src/workloads/request_service.h"
-#include "src/workloads/search_workload.h"
 
 namespace gs {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Part 1: Fig 6 bimodal request workload, probe vs predictive Shinjuku.
-// Same machine/workload constants as fig6_shinjuku.cc.
-constexpr Duration kShort = Microseconds(10);
-constexpr Duration kLong = Milliseconds(10);
-constexpr double kPLong = 0.005;
-constexpr int kNumWorkers = 200;
 
 Duration kWarmup = Milliseconds(100);
 Duration kMeasure = Milliseconds(900);
 Duration kSearchRun = Seconds(30);
 
-CpuMask ServerCpus() {
-  CpuMask mask;
-  for (int cpu = 2; cpu <= 11; ++cpu) {
-    mask.Set(cpu);
-  }
-  for (int cpu = 14; cpu <= 23; ++cpu) {
-    mask.Set(cpu);
-  }
-  return mask;
-}
+// ---------------------------------------------------------------------------
+// Part 1: Fig 6 bimodal request workload, probe vs predictive Shinjuku.
 
-CostModel Fig6Cost() {
-  CostModel cost;
-  cost.smt_contention_factor = 1.0;
-  cost.agent_smt_contention_factor = 1.0;
-  return cost;
-}
-
-struct Result {
-  double offered_kqps = 0;
-  double achieved_kqps = 0;
-  double p50_us = 0;
-  double p99_us = 0;
-  double p999_us = 0;
-};
-
-// One Fig 6 run under the factory-built policy for `spec`. The policy is
-// owned by the in-run AgentProcess, so `scrape` (may be null) is invoked
-// with it after the run completes but before teardown.
-Result RunFig6(bench::Run& run, const PolicyConfig& spec,
-               double offered_kqps, uint64_t seed,
-               const std::function<void(const Policy&)>& scrape) {
-  SimulationContext m({.topology = Topology::IntelE5_24(), .cost = Fig6Cost(),
-                       .stats = &run.stats()});
-  bench::ScopedMachineTrace trace_scope(run, m.kernel());
-  CpuMask enclave_cpus = ServerCpus();
-  enclave_cpus.Set(1);  // global agent home
-  auto enclave = m.CreateEnclave(enclave_cpus);
-
-  PolicyEnv env;
-  env.default_global_cpu = 1;
-  std::unique_ptr<Policy> policy = MakePolicy(spec, env);
-  Policy* policy_ptr = policy.get();
-  AgentProcess process(&m.kernel(), m.ghost_class(), enclave.get(),
-                       std::move(policy));
-  process.Start();
-
-  ThreadPoolServer server(&m.kernel(), {.num_workers = kNumWorkers});
-  for (Task* worker : server.workers()) {
-    enclave->AddTask(worker);
-  }
-
-  BimodalServiceModel model(kShort, kLong, kPLong);
-  PoissonLoadGen gen(&m.loop(), &model, offered_kqps * 1e3, seed,
-                     [&server](Time t, Duration s) { server.Submit(t, s); });
-  gen.Start(kWarmup + kMeasure);
-
-  int64_t completed_at_warmup = 0;
-  m.loop().ScheduleAt(kWarmup, [&] {
-    server.latency().Reset();
-    completed_at_warmup = server.completed();
-  });
-  m.RunFor(kWarmup + kMeasure + Milliseconds(50));
-
-  Result r;
-  r.offered_kqps = offered_kqps;
-  r.achieved_kqps =
-      static_cast<double>(server.completed() - completed_at_warmup) /
-      ToSeconds(kMeasure + Milliseconds(50)) / 1e3;
-  r.p50_us = server.latency().PercentileUs(50);
-  r.p99_us = server.latency().PercentileUs(99);
-  r.p999_us = server.latency().PercentileUs(99.9);
-  if (scrape) {
-    scrape(*policy_ptr);
-  }
-  return r;
-}
-
-void RecordFig6(bench::Run& run, const char* system, const Result& r) {
+void RecordFig6(bench::Run& run, const char* system, const bench::Fig6Result& r) {
   std::printf("%-20s %10.0f %10.1f %10.1f %10.1f %10.1f\n", system,
               r.offered_kqps, r.achieved_kqps, r.p50_us, r.p99_us, r.p999_us);
   std::fflush(stdout);
@@ -150,14 +61,15 @@ void RunShinjukuSweep(bench::Run& run) {
   int win_points = 0;
   double best_ratio = 0;  // probe_p999 / predictive_p999, >1 = win
   for (double load : loads) {
-    const uint64_t seed = run.seed() + static_cast<uint64_t>(load);
+    const bench::Fig6Load point{load, run.seed() + static_cast<uint64_t>(load), kWarmup,
+                                kMeasure};
     const std::string sfx = "{load=" + std::to_string(static_cast<int>(load)) + "}";
 
     PolicyConfig probe_spec;
     probe_spec.kind = "shinjuku";
     probe_spec.timeslice_us = 30;
-    const Result probe =
-        RunFig6(run, probe_spec, load, seed, [&](const Policy& policy) {
+    const bench::Fig6Result probe = bench::RunFig6Ghost(
+        run, probe_spec, /*with_batch=*/false, point, [&](const Policy& policy) {
           // Probe baseline's preemption count, for the "probe burns
           // preemptions on longs" comparison.
           const auto& p = static_cast<const CentralizedFifoPolicy&>(policy);
@@ -171,8 +83,8 @@ void RunShinjukuSweep(bench::Run& run) {
     pred_spec.timeslice_us = 30;
     pred_spec.long_threshold_us = 100;
     pred_spec.backstop_multiplier = 4;
-    const Result pred =
-        RunFig6(run, pred_spec, load, seed, [&](const Policy& policy) {
+    const bench::Fig6Result pred = bench::RunFig6Ghost(
+        run, pred_spec, /*with_batch=*/false, point, [&](const Policy& policy) {
           const auto& p = static_cast<const PredictiveShinjukuPolicy&>(policy);
           run.Metric("predicted_short" + sfx,
                      static_cast<int64_t>(p.predicted_short()));
@@ -205,49 +117,34 @@ void RunShinjukuSweep(bench::Run& run) {
 
 double RunSearch(bench::Run& run, bool predictive, uint64_t seed,
                  const char* system) {
-  SimulationContext m({.topology = Topology::AmdRome256(), .cost = CostModel().WithCacheWarmth(),
-                       .stats = &run.stats()});
-  auto enclave = m.CreateEnclave(m.kernel().topology().AllCpus());
-
   PolicyConfig spec;
   spec.kind = predictive ? "predictive_search" : "search";
   spec.global_cpu = 0;
-  PolicyEnv env;
-  env.default_global_cpu = 0;
-  std::unique_ptr<Policy> policy = MakePolicy(spec, env);
-  auto* search = static_cast<SearchPolicy*>(policy.get());
-  AgentProcess process(&m.kernel(), m.ghost_class(), enclave.get(),
-                       std::move(policy));
-  process.Start();
-
-  SearchWorkload workload(&m.kernel(), {.seed = seed});
-  for (Task* worker : workload.workers()) {
-    enclave->AddTask(worker);
-  }
-  workload.Start(kSearchRun);
-  m.RunFor(kSearchRun + Milliseconds(200));
-
-  static const char* kNames[3] = {"A", "B", "C"};
+  std::unique_ptr<Policy> policy = MakePolicy(spec, PolicyEnv());
+  const auto* search = static_cast<const SearchPolicy*>(policy.get());
   double mean_p99 = 0;
-  for (int type = 0; type < 3; ++type) {
-    auto q = static_cast<SearchWorkload::QueryType>(type);
-    const double p99 = workload.latency(q).PercentileUs(99);
-    const double qps =
-        static_cast<double>(workload.completed(q)) / ToSeconds(kSearchRun);
-    mean_p99 += p99 / 3.0;
-    run.AddRow()
-        .Set("part", "fig8")
-        .Set("system", system)
-        .Set("query_type", kNames[type])
-        .Set("total_qps", qps)
-        .Set("overall_p99_us", p99);
-    std::printf("%-20s type %s: %8.0f qps, p99 %8.0f us\n", system, kNames[type],
-                qps, p99);
-  }
-  run.Metric(std::string("hint_hits{") + system + "}",
-             static_cast<int64_t>(search->hint_hits()));
-  run.Metric(std::string("warmth_deferred{") + system + "}",
-             static_cast<int64_t>(search->deferred_for_warmth()));
+  bench::RunFig8Search(run, std::move(policy), kSearchRun, seed, [&](SearchWorkload& workload) {
+    static const char* kNames[3] = {"A", "B", "C"};
+    for (int type = 0; type < 3; ++type) {
+      auto q = static_cast<SearchWorkload::QueryType>(type);
+      const double p99 = workload.latency(q).PercentileUs(99);
+      const double qps =
+          static_cast<double>(workload.completed(q)) / ToSeconds(kSearchRun);
+      mean_p99 += p99 / 3.0;
+      run.AddRow()
+          .Set("part", "fig8")
+          .Set("system", system)
+          .Set("query_type", kNames[type])
+          .Set("total_qps", qps)
+          .Set("overall_p99_us", p99);
+      std::printf("%-20s type %s: %8.0f qps, p99 %8.0f us\n", system, kNames[type],
+                  qps, p99);
+    }
+    run.Metric(std::string("hint_hits{") + system + "}",
+               static_cast<int64_t>(search->hint_hits()));
+    run.Metric(std::string("warmth_deferred{") + system + "}",
+               static_cast<int64_t>(search->deferred_for_warmth()));
+  });
   std::fflush(stdout);
   return mean_p99;
 }
@@ -274,7 +171,7 @@ int main(int argc, char** argv) {
     gs::kMeasure = gs::Milliseconds(200);
     gs::kSearchRun = gs::Seconds(3);
   }
-  harness.Param("num_workers", gs::kNumWorkers);
+  harness.Param("num_workers", gs::bench::kFig6Workers);
   harness.Param("warmup_ms", static_cast<int64_t>(gs::kWarmup / 1000000));
   harness.Param("measure_ms", static_cast<int64_t>(gs::kMeasure / 1000000));
   harness.Param("search_run_s", static_cast<int64_t>(gs::kSearchRun / 1000000000));
