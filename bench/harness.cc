@@ -102,10 +102,6 @@ Row& Row::Set(const std::string& key, bool v) {
   cells_.emplace_back(key, RenderBool(v));
   return *this;
 }
-Row& Row::SetRaw(const std::string& key, std::string json) {
-  cells_.emplace_back(key, std::move(json));
-  return *this;
-}
 
 Run::Run(Harness* harness, uint64_t seed, int index)
     : harness_(harness), seed_(seed), index_(index) {
@@ -114,7 +110,6 @@ Run::Run(Harness* harness, uint64_t seed, int index)
   }
 }
 
-Scale Run::scale() const { return harness_->scale(); }
 bool Run::quick() const { return harness_->quick(); }
 
 Row& Run::AddRow() {

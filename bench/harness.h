@@ -78,8 +78,6 @@ class Row {
   Row& Set(const std::string& key, const std::string& v);
   Row& Set(const std::string& key, const char* v) { return Set(key, std::string(v)); }
   Row& Set(const std::string& key, bool v);
-  // Splices a pre-rendered JSON value (e.g. Histogram::ToJson()).
-  Row& SetRaw(const std::string& key, std::string json);
 
  private:
   friend class Harness;
@@ -97,9 +95,6 @@ class Run {
   Run& operator=(const Run&) = delete;
 
   uint64_t seed() const { return seed_; }
-  // 0-based repetition index (seed() == base seed + index()).
-  int index() const { return index_; }
-  Scale scale() const;
   bool quick() const;
 
   // The registry for this run's machine(s): pass `&stats()` as
@@ -160,10 +155,8 @@ class Harness {
   Harness(const Harness&) = delete;
   Harness& operator=(const Harness&) = delete;
 
-  Scale scale() const { return scale_; }
   bool quick() const { return scale_ == Scale::kQuick; }
   bool json_requested() const { return !json_path_.empty(); }
-  int num_seeds() const { return num_seeds_; }
   // Worker threads requested via --jobs (0 = one per hardware thread).
   int jobs() const { return jobs_; }
 

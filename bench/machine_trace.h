@@ -62,8 +62,6 @@ class ScopedMachineTrace {
   ScopedMachineTrace(const ScopedMachineTrace&) = delete;
   ScopedMachineTrace& operator=(const ScopedMachineTrace&) = delete;
 
-  bool traced() const { return traced_; }
-
  private:
   Run& run_;
   Kernel& kernel_;
