@@ -119,6 +119,10 @@ Cluster::Cluster(const scenario::ScenarioSpec& spec, StatsRegistry* stats, int j
     machines_.push_back(std::make_unique<MachineSim>(spec_, options));
     return;
   }
+  // The machines' registries are merged only into one that records.
+  if (stats_ != nullptr && !stats_->enabled()) {
+    stats_ = nullptr;
+  }
   BuildFleet();
 }
 

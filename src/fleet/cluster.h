@@ -39,11 +39,12 @@ namespace fleet {
 
 class Cluster {
  public:
-  // `stats`: harness registry to record into (nullptr = no metrics). In
-  // fleet mode each machine owns a private registry (so epochs can run on
-  // threads) and the cluster merges them into `stats` in machine order at
-  // collect time. `jobs` is the number of epoch workers (0: one per
-  // hardware thread), at most one per node; results are independent of it.
+  // `stats`: harness registry to record into (nullptr = no metrics), left
+  // enabled or disabled as its owner set it. In fleet mode each machine owns
+  // a private registry (so epochs can run on threads), enabled iff `stats`
+  // is, and the cluster merges them into `stats` in machine order at collect
+  // time. `jobs` is the number of epoch workers (0: one per hardware
+  // thread), at most one per node; results are independent of it.
   Cluster(const scenario::ScenarioSpec& spec, StatsRegistry* stats, int jobs);
   ~Cluster();
 

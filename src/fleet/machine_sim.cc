@@ -83,7 +83,7 @@ MachineSim::MachineSim(const scenario::ScenarioSpec& spec, const Options& machin
   options.topology = MakeTopology(spec_.topology);
   options.with_core_sched = spec_.policy.kind == "vm_core_sched";
   options.seed = spec_.seed;
-  options.enable_stats = machine_options.stats != nullptr || machine_options.collect_stats;
+  options.enable_stats = machine_options.stats == nullptr && machine_options.collect_stats;
   options.stats = machine_options.stats;
   const bool want_faults = !spec_.faults.plan.empty() ||
                            spec_.faults.ipi_delay_probability > 0 ||

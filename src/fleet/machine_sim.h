@@ -59,9 +59,10 @@ class PhasedLoad {
 class MachineSim {
  public:
   struct Options {
-    // Borrowed registry (the single-machine path); nullptr = the context
-    // owns one, enabled iff collect_stats (the fleet path, where per-machine
-    // registries merge into the harness registry at collect time).
+    // Borrowed registry (the single-machine path), left enabled or disabled
+    // as its owner set it; nullptr = the context owns one, enabled iff
+    // collect_stats (the fleet path, where per-machine registries merge into
+    // the harness registry at collect time).
     StatsRegistry* stats = nullptr;
     bool collect_stats = false;
     // Fleet mode: no local load generation; requests arrive via

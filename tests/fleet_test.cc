@@ -4,10 +4,12 @@
 // determinism contract — same seed => byte-identical results serially and on
 // a thread pool, and partition/heal chaos leaves the invariant checkers
 // clean.
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/base/json.h"
 #include "src/fleet/cluster.h"
 #include "src/fleet/load_balancer.h"
 #include "src/fleet/machine_sim.h"
@@ -322,13 +324,40 @@ TEST(ClusterTest, RepeatedRunsAreByteIdentical) {
   EXPECT_EQ(first, second);
 }
 
+// Counters in `stats`' snapshot whose value is not zero.
+int NonzeroCounters(const StatsRegistry& stats) {
+  const std::optional<JsonValue> snapshot = JsonValue::Parse(stats.ToJson());
+  int nonzero = 0;
+  for (const auto& [name, value] : snapshot->Find("counters")->object) {
+    nonzero += value.number != 0;
+  }
+  return nonzero;
+}
+
 TEST(ClusterTest, StatsMergeAcrossMachinesMatchesSerial) {
   const scenario::ScenarioSpec spec = ParseSpec(kFleetSpec);
   StatsRegistry serial_stats;
   StatsRegistry parallel_stats;
+  serial_stats.Enable();
+  parallel_stats.Enable();
   scenario::RunScenario(spec, &serial_stats, 1);
   scenario::RunScenario(spec, &parallel_stats, 8);
+  EXPECT_GT(NonzeroCounters(serial_stats), 0);
   EXPECT_EQ(serial_stats.ToJson(), parallel_stats.ToJson());
+}
+
+// A registry its owner left disabled stays disabled and records nothing, on
+// one machine and on a fleet: a bench run without --json pays for no stats.
+TEST(ClusterTest, DisabledRegistryStaysDisabledAndEmpty) {
+  scenario::ScenarioSpec single = ParseSpec(kFleetSpec);
+  single.fleet.reset();
+  for (const scenario::ScenarioSpec& spec : {single, ParseSpec(kFleetSpec)}) {
+    const char* shape = spec.fleet.has_value() ? "fleet" : "single machine";
+    StatsRegistry stats;
+    scenario::RunScenario(spec, &stats, 2);
+    EXPECT_FALSE(stats.enabled()) << shape;
+    EXPECT_EQ(NonzeroCounters(stats), 0) << shape;
+  }
 }
 
 TEST(ClusterTest, PartitionHealChaosLeavesInvariantsClean) {
