@@ -3,7 +3,7 @@
 // With --baseline, each result must also equal the baseline at every key
 // path but metrics.wall_clock_s (host time); a differing path prints as
 // "path: old → new". Exits non-zero (listing the problems) if any file
-// fails; CI runs this over the smoke-bench artifacts and, with --baseline,
+// fails; CI runs this over the perf-smoke artifacts and, with --baseline,
 // against each checked-in BENCH_*.json.
 #include <cstdio>
 #include <cstring>
