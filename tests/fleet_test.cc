@@ -234,6 +234,47 @@ TEST(TeardownTest, AgentsThatNeverRanShutDownCleanly) {
   EXPECT_EQ(machine.loop().executed_count(), 0u);
 }
 
+// ---- Engine work of one ghOSt machine -------------------------------------
+
+// The global_agent benchmark shape (perfbench/workloads): one spinning
+// centralized FIFO agent group-commits 400 workers on 112 CPUs.
+constexpr char kGlobalAgentSpec[] = R"json({
+  "name": "global_agent_ruler",
+  "seed": 42,
+  "warmup_ms": 1, "measure_ms": 3, "drain_ms": 1,
+  "topology": {"preset": "skylake112"},
+  "policy": {"kind": "centralized_fifo", "timeslice_us": 0},
+  "enclave": {"cpu_first": 0},
+  "workload": {
+    "kind": "request_service", "num_workers": 400,
+    "service": {"model": "fixed", "fixed_us": 40},
+    "phases": [{"duration_ms": 5, "qps": 1400000}]
+  },
+  "invariants": {"enabled": false}
+})json";
+
+// The engine's exact work over 5 ms of that machine. The counts depend only
+// on the program, so a rework of the engine, the kernel or the ghOSt layer
+// that claims to do the same work must leave every one of them unchanged.
+TEST(MachineSimWorkTest, GlobalAgentEngineWorkIsPinned) {
+  std::string error;
+  const std::optional<scenario::ScenarioSpec> spec =
+      scenario::ScenarioSpec::Parse(kGlobalAgentSpec, &error);
+  ASSERT_TRUE(spec.has_value()) << error;
+  MachineSim machine(*spec, MachineSim::Options{});
+  machine.AdvanceUntil(Milliseconds(5));
+
+  const EventLoop::Work& w = machine.loop().work();
+  EXPECT_EQ(w.scheduled_zero, 14156u);
+  EXPECT_EQ(w.scheduled_near, 22200u);
+  EXPECT_EQ(w.scheduled_far, 13515u);
+  EXPECT_EQ(w.fired, 50234u);
+  EXPECT_EQ(w.cancelled, 0u);
+  EXPECT_EQ(w.rescheduled, 8263u);
+  EXPECT_EQ(w.wheel_inserts, 44651u);
+  EXPECT_EQ(w.cascade_reinserts, 19880u);
+}
+
 // ---- Cluster determinism ---------------------------------------------------
 
 constexpr char kFleetSpec[] = R"json({
