@@ -47,6 +47,7 @@ void Policy::Dispatch(AgentContext& ctx, const Message& msg) {
 
 void Policy::Restore(const std::vector<Enclave::TaskInfo>& dump) {
   restore_backlog_.clear();
+  restore_masks_.clear();
   // Table entries the dump no longer mentions departed while our view was
   // stale (or under the outgoing policy of a live swap). Mark survivors as
   // we walk the dump; sorted iteration keeps the backlog deterministic.
@@ -56,12 +57,12 @@ void Policy::Restore(const std::vector<Enclave::TaskInfo>& dump) {
     Message msg;
     msg.tid = info.tid;
     msg.tseq = info.tseq;
-    msg.affinity = info.affinity;
     PolicyTask* task = table_.Find(info.tid);
     if (task == nullptr) {
       // An on-cpu thread is not re-enqueued: it already holds a CPU, and its
       // eventual preempt/yield/block message re-enters it the normal way.
       msg.type = MessageType::kTaskNew;
+      msg.affinity = &restore_masks_.emplace_back(info.affinity);
       msg.runnable = info.runnable && !info.on_cpu;
     } else if (info.runnable && !info.on_cpu && !task->runnable) {
       msg.type = MessageType::kTaskWakeup;  // lost wakeup: kernel says ready
@@ -91,6 +92,8 @@ AgentAction Policy::RunAgent(AgentContext& ctx) {
     // vector.
     std::vector<Message> backlog;
     backlog.swap(restore_backlog_);
+    std::deque<CpuMask> masks;
+    masks.swap(restore_masks_);
     for (Message& msg : backlog) {
       msg.posted = ctx.kernel()->now();
       Dispatch(ctx, msg);

@@ -38,6 +38,7 @@
 #ifndef GHOST_SIM_SRC_AGENT_POLICY_H_
 #define GHOST_SIM_SRC_AGENT_POLICY_H_
 
+#include <deque>
 #include <optional>
 #include <vector>
 
@@ -141,8 +142,10 @@ class Policy {
   std::vector<Message> scratch_msgs_;
   // Synthesized by the default Restore(); dispatched (then cleared) before
   // the queue drain of the next iteration. Deferred because Restore() runs
-  // without an AgentContext.
+  // without an AgentContext. Its kTaskNew messages point into
+  // restore_masks_, which lives until they are dispatched.
   std::vector<Message> restore_backlog_;
+  std::deque<CpuMask> restore_masks_;
 };
 
 }  // namespace gs

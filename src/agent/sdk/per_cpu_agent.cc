@@ -24,7 +24,6 @@ void PerCpuAgentPolicy::Attached(AgentProcess* process, Enclave* enclave, Kernel
 
 void PerCpuAgentPolicy::Restore(const std::vector<Enclave::TaskInfo>& dump) {
   ResetRunqueues();
-  home_cpu_.Clear();
   table().Clear();
   for (const Enclave::TaskInfo& info : dump) {
     PolicyTask* task = table().Add(info.tid);
@@ -33,7 +32,7 @@ void PerCpuAgentPolicy::Restore(const std::vector<Enclave::TaskInfo>& dump) {
     task->runnable = info.runnable;
     TrackTask(task);
     const int home = NextHomeCpu(task);
-    home_cpu_.Insert(info.tid, home);
+    task->home_cpu = home;
     enclave_->AssociateQueue(info.tid, queues_[home]);
     if (info.runnable && !info.on_cpu) {
       task->queued = true;
@@ -70,7 +69,7 @@ void PerCpuAgentPolicy::Enqueue(AgentContext& ctx, PolicyTask* task, QueueAt at)
   if (task->queued) {
     return;
   }
-  const int home = HomeOf(task->tid, ctx.agent_cpu());
+  const int home = HomeOf(task, ctx.agent_cpu());
   task->queued = true;
   Push(task, home, at);
   NotifyAgent(ctx, home);
@@ -79,7 +78,7 @@ void PerCpuAgentPolicy::Enqueue(AgentContext& ctx, PolicyTask* task, QueueAt at)
 void PerCpuAgentPolicy::TaskNew(AgentContext& ctx, PolicyTask* task, const Message& msg) {
   TrackTask(task);
   const int home = NextHomeCpu(task);
-  home_cpu_.Insert(msg.tid, home);
+  task->home_cpu = home;
   ctx.Charge(ctx.kernel()->cost().syscall);
   // May fail if more messages are pending on the default queue for this
   // thread; retried when they are drained.
@@ -104,7 +103,7 @@ void PerCpuAgentPolicy::TaskYield(AgentContext& ctx, PolicyTask* task, const Mes
 
 void PerCpuAgentPolicy::Dequeue(AgentContext& ctx, PolicyTask* task) {
   if (task->queued) {
-    Remove(task, HomeOf(task->tid, ctx.agent_cpu()));
+    Remove(task, HomeOf(task, ctx.agent_cpu()));
     task->queued = false;
   }
 }
@@ -115,7 +114,7 @@ void PerCpuAgentPolicy::TaskBlocked(AgentContext& ctx, PolicyTask* task, const M
 
 void PerCpuAgentPolicy::Evict(AgentContext& ctx, PolicyTask* task) {
   Dequeue(ctx, task);
-  home_cpu_.Erase(task->tid);
+  task->home_cpu = -1;
   UntrackTask(task);
   // The Policy base removes the TaskTable entry after this hook.
 }
@@ -133,7 +132,7 @@ void PerCpuAgentPolicy::TaskAffinity(AgentContext& ctx, PolicyTask* task,
                                      const Message& msg) {
   // sched_setaffinity may have excluded the thread's home CPU: re-home it
   // on an allowed enclave CPU and move any queued entry along.
-  const int home = HomeOf(task->tid, ctx.agent_cpu());
+  const int home = HomeOf(task, ctx.agent_cpu());
   if (task->affinity.IsSet(home)) {
     return;
   }
@@ -145,7 +144,7 @@ void PerCpuAgentPolicy::TaskAffinity(AgentContext& ctx, PolicyTask* task,
     Remove(task, home);
     Push(task, new_home, QueueAt::kBack);
   }
-  home_cpu_.Insert(task->tid, new_home);
+  task->home_cpu = new_home;
   ctx.Charge(ctx.kernel()->cost().syscall);
   enclave_->AssociateQueue(task->tid, queues_[new_home]);
   NotifyAgent(ctx, new_home);
@@ -209,7 +208,7 @@ AgentAction PerCpuAgentPolicy::Schedule(AgentContext& ctx) {
     return AgentAction::kRunAgain;
   }
   const int home = next->affinity.IsSet(cpu) ? cpu : FirstAllowedCpu(next, cpu);
-  home_cpu_.Insert(next->tid, home);
+  next->home_cpu = home;
   next->queued = true;
   Push(next, home, QueueAt::kBack);
   NotifyAgent(ctx, home);

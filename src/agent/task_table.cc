@@ -1,32 +1,40 @@
 #include "src/agent/task_table.h"
 
-#include <algorithm>
-
 #include "src/base/logging.h"
 
 namespace gs {
 
 std::vector<int64_t> TaskTable::SortedTids() const {
   std::vector<int64_t> tids;
-  tids.reserve(by_tid_.size());
-  by_tid_.ForEach([&tids](int64_t tid, PolicyTask* const&) { tids.push_back(tid); });
-  std::sort(tids.begin(), tids.end());
+  tids.reserve(size_);
+  for (size_t tid = 0; tid < by_tid_.size(); ++tid) {
+    if (by_tid_[tid] != nullptr) {
+      tids.push_back(static_cast<int64_t>(tid));
+    }
+  }
   return tids;
 }
 
 PolicyTask* TaskTable::Add(int64_t tid) {
+  CHECK_GE(tid, 0);
   PolicyTask* task = slab_.New();
   task->tid = tid;
   task->affinity.SetAll();
-  by_tid_.Insert(tid, task);
+  if (static_cast<size_t>(tid) >= by_tid_.size()) {
+    by_tid_.resize(static_cast<size_t>(tid) + 1, nullptr);
+  }
+  // Re-adding a tracked tid replaces its entry; the old one stays in the
+  // slab until Clear().
+  size_ += by_tid_[tid] == nullptr;
+  by_tid_[tid] = task;
   return task;
 }
 
 void TaskTable::Remove(int64_t tid) {
-  PolicyTask** slot = by_tid_.Find(tid);
-  if (slot != nullptr) {
-    slab_.Delete(*slot);
-    by_tid_.Erase(tid);
+  if (PolicyTask* task = Find(tid)) {
+    slab_.Delete(task);
+    by_tid_[tid] = nullptr;
+    --size_;
   }
 }
 
@@ -43,7 +51,7 @@ TaskTable::Event TaskTable::Apply(const Message& msg, PolicyTask** out) {
         task = Add(msg.tid);
       }
       task->tseq = msg.tseq;
-      task->affinity = msg.affinity;
+      task->affinity = *msg.affinity;
       task->runnable = msg.runnable;
       task->became_runnable = msg.posted;
       *out = task;
@@ -92,7 +100,7 @@ TaskTable::Event TaskTable::Apply(const Message& msg, PolicyTask** out) {
         return Event::kNone;
       }
       task->tseq = msg.tseq;
-      task->affinity = msg.affinity;
+      task->affinity = *msg.affinity;
       *out = task;
       return Event::kAffinity;
     case MessageType::kTimerTick:

@@ -141,6 +141,8 @@ class CpuMask {
 
   bool operator==(const CpuMask& other) const { return words_ == other.words_; }
   bool operator!=(const CpuMask& other) const { return !(*this == other); }
+  // An arbitrary strict total order, for ordered containers.
+  bool operator<(const CpuMask& other) const { return words_ < other.words_; }
 
   bool Intersects(const CpuMask& other) const {
     for (size_t i = 0; i < words_.size(); ++i) {

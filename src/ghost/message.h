@@ -29,17 +29,23 @@ enum class MessageType : uint8_t {
 
 const char* ToString(MessageType type);
 
+// 40 bytes: the hot fields only. The one payload too big to copy around,
+// the affinity mask, travels as a pointer to an immutable mask the enclave
+// interns (Enclave::InternMask), so a message still delivers the mask as it
+// was when the message was posted.
 struct Message {
-  MessageType type = MessageType::kTaskNew;
   int64_t tid = 0;    // subject thread; 0 for CPU messages
+  Time posted = 0;    // virtual post time
+  // kTaskNew / kTaskAffinity payload: the thread's allowed CPUs; nullptr for
+  // every other type.
+  const CpuMask* affinity = nullptr;
   uint32_t tseq = 0;  // thread sequence number at post time
   int cpu = -1;       // CPU messages (kTimerTick) and context for preemptions
-  Time posted = 0;    // virtual post time
-  // kTaskAffinity / kTaskNew payload: the thread's allowed CPUs.
-  CpuMask affinity;
+  MessageType type = MessageType::kTaskNew;
   // kTaskNew payload: was the thread runnable when it entered the enclave?
   bool runnable = false;
 };
+static_assert(sizeof(Message) <= 48);
 
 }  // namespace gs
 

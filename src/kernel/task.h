@@ -11,8 +11,11 @@
 #ifndef GHOST_SIM_SRC_KERNEL_TASK_H_
 #define GHOST_SIM_SRC_KERNEL_TASK_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include "src/base/cpumask.h"
 #include "src/base/inline_callback.h"
@@ -118,9 +121,17 @@ class Task {
   // callback; placement must re-arm the completion event for it (a same-
   // instant preemption may have canceled the one StartBurst armed).
   bool has_pending_burst_done() const { return static_cast<bool>(on_burst_done_); }
-  void SetBurst(Duration d, BurstDoneFn done) {
+  // Builds a void(Task*) callable in place as the burst-done callback; a
+  // BurstDoneFn (or nullptr) is moved in.
+  template <typename F>
+  void SetBurst(Duration d, F&& done) {
     burst_remaining_ = d;
-    on_burst_done_ = std::move(done);
+    if constexpr (std::is_same_v<std::decay_t<F>, BurstDoneFn> ||
+                  std::is_same_v<std::decay_t<F>, std::nullptr_t>) {
+      on_burst_done_ = std::forward<F>(done);
+    } else {
+      on_burst_done_.Emplace(std::forward<F>(done));
+    }
   }
   void ConsumeBurst(Duration d) {
     burst_remaining_ -= d;

@@ -1,6 +1,5 @@
 #include "src/sim/event_loop.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace gs {
@@ -61,19 +60,6 @@ uint32_t EventLoop::NewEvent(Time when, Duration period, uint64_t tag) {
   return idx;
 }
 
-void EventLoop::Enqueue(uint32_t idx) {
-  EventSlot& s = slots_[idx];
-  if (!ready_.empty() && s.when == ready_time_) {
-    // The bucket for `when` is the one being fired right now; append so the
-    // event (highest seq) runs after the bucket's remaining events.
-    s.state = SlotState::kInReady;
-    ready_.push_back(ReadyEntry{idx, s.gen, s.seq});
-    return;
-  }
-  ++work_.wheel_inserts;
-  InsertIntoWheel(idx);
-}
-
 void EventLoop::MarkOccupied(int bucket) {
   if (bucket < kLevel0Slots) {
     occupied0_[bucket / 64] |= uint64_t{1} << (bucket % 64);
@@ -117,29 +103,40 @@ void EventLoop::InsertIntoWheel(uint32_t idx) {
   }
   s.state = SlotState::kInWheel;
   s.bucket = static_cast<uint16_t>(bucket);
-  s.prev = kNil;
-  s.next = buckets_[bucket];
-  if (s.next != kNil) {
-    slots_[s.next].prev = idx;
-  } else {
-    MarkOccupied(bucket);
-  }
-  buckets_[bucket] = idx;
   ++wheel_count_;
+  uint32_t& head = buckets_[bucket];
+  if (head == kNil) {
+    s.prev = idx;
+    s.next = idx;
+    head = idx;
+    MarkOccupied(bucket);
+    return;
+  }
+  // Append at the tail. Buckets stay in seq order with no search: a new,
+  // re-armed or rescheduled event has the highest seq yet, and a cascade runs
+  // only when every level below the cascading slot is empty, so it refills
+  // empty buckets in the slot's own order. A level-0 bucket thus fires head
+  // first in (time, seq) order.
+  const uint32_t tail = slots_[head].prev;
+  DCHECK_LT(slots_[tail].seq, s.seq) << "wheel bucket out of seq order";
+  s.prev = tail;
+  s.next = head;
+  slots_[tail].next = idx;
+  slots_[head].prev = idx;
 }
 
 void EventLoop::UnlinkFromWheel(uint32_t idx) {
   EventSlot& s = slots_[idx];
-  if (s.prev != kNil) {
-    slots_[s.prev].next = s.next;
-  } else {
-    buckets_[s.bucket] = s.next;
-  }
-  if (s.next != kNil) {
-    slots_[s.next].prev = s.prev;
-  }
-  if (buckets_[s.bucket] == kNil) {
+  uint32_t& head = buckets_[s.bucket];
+  if (s.next == idx) {
+    head = kNil;
     MarkEmpty(s.bucket);
+  } else {
+    slots_[s.prev].next = s.next;
+    slots_[s.next].prev = s.prev;
+    if (head == idx) {
+      head = s.next;
+    }
   }
   --wheel_count_;
 }
@@ -186,106 +183,48 @@ EventLoop::WheelPos EventLoop::NextOccupiedSlot() const {
   return WheelPos{-1, -1, 0};
 }
 
-void EventLoop::CascadeSlot(const WheelPos& pos) {
+void EventLoop::Advance(const WheelPos& pos) {
   wheel_time_ = pos.start;
+  if (pos.level == 0) {
+    instant_ = pos.start;
+    return;
+  }
   const int b = kLevel0Slots + (pos.level - 1) * kUpperSlots + pos.slot;
-  uint32_t head = buckets_[b];
+  const uint32_t first = buckets_[b];
   buckets_[b] = kNil;
   MarkEmpty(b);
-  while (head != kNil) {
-    const uint32_t next = slots_[head].next;
+  uint32_t idx = first;
+  do {
+    const uint32_t next = slots_[idx].next;
     --wheel_count_;
     ++work_.cascade_reinserts;
     // Re-inserts relative to the advanced wheel_time_, landing at a strictly
     // lower level (every event here is within the slot's range).
-    InsertIntoWheel(head);
-    head = next;
-  }
+    InsertIntoWheel(idx);
+    idx = next;
+  } while (idx != first);
 }
 
-void EventLoop::CollectBucket(const WheelPos& pos) {
-  wheel_time_ = pos.start;
-  ready_.clear();
-  ready_pos_ = 0;
-  ready_time_ = pos.start;
-  const int b = pos.slot;  // level 0
-  uint32_t head = buckets_[b];
-  buckets_[b] = kNil;
-  MarkEmpty(b);
-  while (head != kNil) {
-    EventSlot& s = slots_[head];
-    const uint32_t next = s.next;
-    CHECK_EQ(s.when, pos.start) << "level-0 bucket must be exact";
-    s.state = SlotState::kInReady;
-    ready_.push_back(ReadyEntry{head, s.gen, s.seq});
-    --wheel_count_;
-    head = next;
+void EventLoop::FireNext(uint32_t head) {
+  uint32_t idx = head;
+  if (oracle_ != nullptr && slots_[head].next != head) {
+    // Candidates in seq (default FIFO) order: the bucket's order.
+    oracle_cands_.clear();
+    oracle_slots_.clear();
+    uint32_t i = head;
+    do {
+      oracle_cands_.push_back(ScheduleOracle::Candidate{BodyOf(i).tag, slots_[i].seq});
+      oracle_slots_.push_back(i);
+      i = slots_[i].next;
+    } while (i != head);
+    const size_t choice = oracle_->Pick(instant_, oracle_cands_);
+    CHECK_LT(choice, oracle_cands_.size()) << "oracle picked out of range";
+    idx = oracle_slots_[choice];
   }
-  // Level-0 buckets are exact, so entries share a timestamp; seq order is
-  // global FIFO order no matter which levels each event cascaded through.
-  // Buckets link at the head, so direct inserts arrive newest first:
-  // reversing makes the common case already sorted for the insertion sort.
-  std::reverse(ready_.begin(), ready_.end());
-  for (size_t i = 1; i < ready_.size(); ++i) {
-    const ReadyEntry e = ready_[i];
-    size_t j = i;
-    for (; j > 0 && ready_[j - 1].seq > e.seq; --j) {
-      ready_[j] = ready_[j - 1];
-    }
-    ready_[j] = e;
-  }
-}
-
-void EventLoop::SkipStaleReady() {
-  while (ready_pos_ < ready_.size()) {
-    const ReadyEntry& e = ready_[ready_pos_];
-    const EventSlot& s = slots_[e.slot];
-    if (s.state == SlotState::kInReady && s.gen == e.gen) {
-      return;
-    }
-    ++ready_pos_;  // cancelled after collection; slot already freed
-  }
-  ready_.clear();
-  ready_pos_ = 0;
-}
-
-void EventLoop::FireReadyFront() { FireReadyEntry(ready_[ready_pos_++]); }
-
-void EventLoop::FireReadyNext() {
-  if (oracle_ == nullptr) {
-    FireReadyFront();
-    return;
-  }
-  // Collect the live entries of the current batch (stale entries — cancelled
-  // after collection — are skipped, exactly as SkipStaleReady would).
-  oracle_cands_.clear();
-  oracle_positions_.clear();
-  for (size_t i = ready_pos_; i < ready_.size(); ++i) {
-    const ReadyEntry& e = ready_[i];
-    const EventSlot& s = slots_[e.slot];
-    if (s.state == SlotState::kInReady && s.gen == e.gen) {
-      oracle_cands_.push_back(ScheduleOracle::Candidate{BodyOf(e.slot).tag, e.seq});
-      oracle_positions_.push_back(i);
-    }
-  }
-  if (oracle_cands_.size() <= 1) {
-    FireReadyFront();  // front is live (SkipStaleReady ran) — no choice here
-    return;
-  }
-  const size_t choice = oracle_->Pick(ready_time_, oracle_cands_);
-  CHECK_LT(choice, oracle_cands_.size()) << "oracle picked out of range";
-  const size_t pos = oracle_positions_[choice];
-  const ReadyEntry e = ready_[pos];
-  // Detach the chosen entry; the rest of the batch keeps its seq order.
-  ready_.erase(ready_.begin() + static_cast<ptrdiff_t>(pos));
-  FireReadyEntry(e);
-}
-
-void EventLoop::FireReadyEntry(ReadyEntry e) {
-  const uint32_t idx = e.slot;
+  UnlinkFromWheel(idx);
   EventSlot& s = slots_[idx];
   const Time fire_time = s.when;
-  CHECK_GE(fire_time, now_);
+  DCHECK_EQ(fire_time, instant_) << "level-0 bucket must be exact";
   now_ = fire_time;
   --pending_count_;
   ++work_.fired;
@@ -331,9 +270,6 @@ bool EventLoop::Cancel(EventId id) {
   switch (s.state) {
     case SlotState::kInWheel:
       UnlinkFromWheel(idx);
-      [[fallthrough]];
-    case SlotState::kInReady:
-      // A ready entry goes stale (generation mismatch) and is skipped.
       RetireId(s);
       Recycle(idx);
       --pending_count_;
@@ -361,7 +297,8 @@ bool EventLoop::Reschedule(EventId id, Time when) {
     return false;
   }
   EventSlot& s = slots_[idx];
-  if (s.gen != gen || s.state != SlotState::kInWheel || s.periodic) {
+  if (s.gen != gen || s.state != SlotState::kInWheel || s.periodic ||
+      s.when == instant_) {
     return false;
   }
   UnlinkFromWheel(idx);
@@ -374,33 +311,28 @@ bool EventLoop::Reschedule(EventId id, Time when) {
 
 bool EventLoop::RunOne() {
   for (;;) {
-    SkipStaleReady();
-    if (HaveLiveReady()) {
-      FireReadyNext();
+    if (const uint32_t head = InstantHead(); head != kNil) {
+      FireNext(head);
       return true;
     }
+    instant_ = kNoInstant;
     if (wheel_count_ == 0) {
       return false;
     }
-    const WheelPos pos = NextOccupiedSlot();
-    if (pos.level == 0) {
-      CollectBucket(pos);
-    } else {
-      CascadeSlot(pos);
-    }
+    Advance(NextOccupiedSlot());
   }
 }
 
 void EventLoop::RunUntil(Time deadline) {
   for (;;) {
-    SkipStaleReady();
-    if (HaveLiveReady()) {
-      if (ready_time_ > deadline) {
-        break;  // partially drained bucket past the deadline
+    if (const uint32_t head = InstantHead(); head != kNil) {
+      if (instant_ > deadline) {
+        break;  // partially fired instant past the deadline
       }
-      FireReadyNext();
+      FireNext(head);
       continue;
     }
+    instant_ = kNoInstant;
     if (wheel_count_ == 0) {
       break;
     }
@@ -409,11 +341,7 @@ void EventLoop::RunUntil(Time deadline) {
     if (pos.start > deadline) {
       break;
     }
-    if (pos.level == 0) {
-      CollectBucket(pos);
-    } else {
-      CascadeSlot(pos);
-    }
+    Advance(pos);
   }
   if (now_ < deadline) {
     now_ = deadline;

@@ -30,7 +30,7 @@ Counter* StatsRegistry::GetCounter(const std::string& name, const Labels& labels
   CHECK_EQ(histograms_.count(full), 0u) << full << " already registered as a histogram";
   auto& slot = counters_[full];
   if (slot == nullptr) {
-    slot.reset(new Counter(&enabled_));
+    slot.reset(new Counter(enabled_));
   }
   return slot.get();
 }
@@ -41,7 +41,7 @@ Gauge* StatsRegistry::GetGauge(const std::string& name, const Labels& labels) {
   CHECK_EQ(histograms_.count(full), 0u) << full << " already registered as a histogram";
   auto& slot = gauges_[full];
   if (slot == nullptr) {
-    slot.reset(new Gauge(&enabled_));
+    slot.reset(new Gauge(enabled_));
   }
   return slot.get();
 }
@@ -53,9 +53,22 @@ HistogramMetric* StatsRegistry::GetHistogram(const std::string& name,
   CHECK_EQ(gauges_.count(full), 0u) << full << " already registered as a gauge";
   auto& slot = histograms_[full];
   if (slot == nullptr) {
-    slot.reset(new HistogramMetric(&enabled_));
+    slot.reset(new HistogramMetric(enabled_));
   }
   return slot.get();
+}
+
+void StatsRegistry::SetEnabled(bool enabled) {
+  enabled_ = enabled;
+  for (auto& [name, counter] : counters_) {
+    counter->enabled_ = enabled;
+  }
+  for (auto& [name, gauge] : gauges_) {
+    gauge->enabled_ = enabled;
+  }
+  for (auto& [name, hist] : histograms_) {
+    hist->enabled_ = enabled;
+  }
 }
 
 void StatsRegistry::Reset() {
@@ -72,13 +85,13 @@ void StatsRegistry::Reset() {
 
 void StatsRegistry::MergeFrom(const StatsRegistry& other) {
   // Maps are keyed by full name, so metrics transfer without re-deriving
-  // labels. Slots are created on demand with this registry's enabled flag.
+  // labels. Slots are created on demand with this registry's current state.
   for (const auto& [full, counter] : other.counters_) {
     CHECK_EQ(gauges_.count(full), 0u) << full << " already registered as a gauge";
     CHECK_EQ(histograms_.count(full), 0u) << full << " already registered as a histogram";
     auto& slot = counters_[full];
     if (slot == nullptr) {
-      slot.reset(new Counter(&enabled_));
+      slot.reset(new Counter(enabled_));
     }
     slot->value_ += counter->value_;
   }
@@ -87,7 +100,7 @@ void StatsRegistry::MergeFrom(const StatsRegistry& other) {
     CHECK_EQ(histograms_.count(full), 0u) << full << " already registered as a histogram";
     auto& slot = gauges_[full];
     if (slot == nullptr) {
-      slot.reset(new Gauge(&enabled_));
+      slot.reset(new Gauge(enabled_));
     }
     slot->value_ += gauge->value_;
   }
@@ -96,7 +109,7 @@ void StatsRegistry::MergeFrom(const StatsRegistry& other) {
     CHECK_EQ(gauges_.count(full), 0u) << full << " already registered as a gauge";
     auto& slot = histograms_[full];
     if (slot == nullptr) {
-      slot.reset(new HistogramMetric(&enabled_));
+      slot.reset(new HistogramMetric(enabled_));
     }
     slot->hist_.Merge(hist->hist_);
   }

@@ -8,9 +8,10 @@
 // `txn_commit_total{status=ESTALE}` once at construction and bump them on
 // the hot path.
 //
-// Cost contract: metric updates are a pointer-chase plus a predictable
-// branch on the registry's enabled flag — *zero side effects* and no
-// allocation when disabled (the default). Lookup (`GetCounter` etc.) is a
+// Cost contract: a metric update is a predictable branch on the metric's own
+// copy of the registry's enabled flag — *zero side effects* and no
+// allocation when disabled (the default). Enable()/Disable() write every
+// registered copy. Lookup (`GetCounter` etc.) is a
 // map operation intended for construction time only; hot paths must cache
 // the returned pointer. Metric objects live as long as the registry and are
 // never invalidated by later registrations.
@@ -45,7 +46,7 @@ using Labels = std::vector<std::pair<std::string, std::string>>;
 class Counter {
  public:
   void Inc(int64_t n = 1) {
-    if (*enabled_) {
+    if (enabled_) {
       value_ += n;
     }
   }
@@ -53,20 +54,20 @@ class Counter {
 
  private:
   friend class StatsRegistry;
-  explicit Counter(const bool* enabled) : enabled_(enabled) {}
-  const bool* enabled_;
+  explicit Counter(bool enabled) : enabled_(enabled) {}
+  bool enabled_;
   int64_t value_ = 0;
 };
 
 class Gauge {
  public:
   void Set(int64_t v) {
-    if (*enabled_) {
+    if (enabled_) {
       value_ = v;
     }
   }
   void Add(int64_t n) {
-    if (*enabled_) {
+    if (enabled_) {
       value_ += n;
     }
   }
@@ -74,8 +75,8 @@ class Gauge {
 
  private:
   friend class StatsRegistry;
-  explicit Gauge(const bool* enabled) : enabled_(enabled) {}
-  const bool* enabled_;
+  explicit Gauge(bool enabled) : enabled_(enabled) {}
+  bool enabled_;
   int64_t value_ = 0;
 };
 
@@ -83,7 +84,7 @@ class Gauge {
 class HistogramMetric {
  public:
   void Observe(int64_t v) {
-    if (*enabled_) {
+    if (enabled_) {
       hist_.Add(v);
     }
   }
@@ -91,8 +92,8 @@ class HistogramMetric {
 
  private:
   friend class StatsRegistry;
-  explicit HistogramMetric(const bool* enabled) : enabled_(enabled) {}
-  const bool* enabled_;
+  explicit HistogramMetric(bool enabled) : enabled_(enabled) {}
+  bool enabled_;
   Histogram hist_;
 };
 
@@ -102,8 +103,8 @@ class StatsRegistry {
   StatsRegistry(const StatsRegistry&) = delete;
   StatsRegistry& operator=(const StatsRegistry&) = delete;
 
-  void Enable() { enabled_ = true; }
-  void Disable() { enabled_ = false; }
+  void Enable() { SetEnabled(true); }
+  void Disable() { SetEnabled(false); }
   bool enabled() const { return enabled_; }
 
   // Returns the metric registered under `name` + `labels`, creating it on
@@ -136,6 +137,9 @@ class StatsRegistry {
   static std::string FullName(const std::string& name, const Labels& labels);
 
  private:
+  // Writes `enabled` into the registry and every registered metric.
+  void SetEnabled(bool enabled);
+
   bool enabled_ = false;
   // Stable addresses: values are unique_ptrs, maps are keyed by full name.
   std::map<std::string, std::unique_ptr<Counter>> counters_;

@@ -223,13 +223,13 @@ void InvariantChecker::CheckEnclave(Enclave* enclave) {
                        options_.starvation_slack;
   }
 
-  for (const Enclave::TaskInfo& info : enclave->TaskDump()) {
-    GhostTask* gt = enclave->Find(info.tid);
-    if (gt == nullptr || gt->task == nullptr) {
-      Violation("enclave task tid " + std::to_string(info.tid) + " has no state");
+  for (GhostTask* gt : enclave->tasks()) {
+    Task* task = gt->task;
+    const int64_t tid = task->tid();
+    if (enclave->Find(tid) == nullptr) {
+      Violation("enclave task tid " + std::to_string(tid) + " has no state");
       continue;
     }
-    Task* task = gt->task;
     if (task->state() == TaskState::kDead) {
       Violation("dead task '" + task->name() + "' still enclave-managed");
       continue;
@@ -248,7 +248,10 @@ void InvariantChecker::CheckEnclave(Enclave* enclave) {
                 std::to_string(gt->status.tseq) + " != kernel tseq " +
                 std::to_string(gt->tseq));
     }
-    auto& rec = last_tseq_[info.tid];
+    if (static_cast<size_t>(tid) >= last_tseq_.size()) {
+      last_tseq_.resize(static_cast<size_t>(tid) + 1);
+    }
+    auto& rec = last_tseq_[static_cast<size_t>(tid)];
     if (rec.first == gt->gen && gt->tseq < rec.second) {
       Violation("task '" + task->name() + "' tseq regressed " +
                 std::to_string(rec.second) + " -> " + std::to_string(gt->tseq));

@@ -30,9 +30,9 @@
 #define GHOST_SIM_SRC_VERIFY_INVARIANTS_H_
 
 #include <cstdint>
-#include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/time.h"
@@ -120,8 +120,8 @@ class InvariantChecker {
     int cpu = -1;
   };
   std::vector<CurrentStamp> current_stamps_;
-  // Tseq monotonicity memory: tid -> {membership generation, last tseq}.
-  std::map<int64_t, std::pair<uint64_t, uint32_t>> last_tseq_;
+  // Tseq monotonicity memory, by tid: {membership generation, last tseq}.
+  std::vector<std::pair<uint64_t, uint32_t>> last_tseq_;
   // Conservation: when each CPU was last observed non-idle.
   std::vector<Time> last_busy_;
 };

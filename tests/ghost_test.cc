@@ -1,7 +1,10 @@
 // Tests for the ghOSt core: messages, sequence numbers, transactions,
 // watchdog fallback, queue association, forced idle, fast path.
 #include <deque>
+#include <limits>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -340,6 +343,87 @@ TEST_F(GhostTest, TaskDumpReflectsState) {
       EXPECT_FALSE(info.runnable);
     }
   }
+}
+
+TEST_F(GhostTest, AffinityMessagesDeliverTheMaskOfTheirPostInOrder) {
+  Build(4);
+  Task* task = GhostTask_("w", Microseconds(10));
+  Task* other = GhostTask_("v", Microseconds(10));
+  CpuMask first = CpuMask::Single(1);
+  CpuMask second = CpuMask::Single(2);
+  second.Set(3);
+  // Two sched_setaffinity calls before one drain: each message keeps the
+  // mask of its own post, not the task's current one.
+  machine_->kernel().SetAffinity(task, first);
+  machine_->kernel().SetAffinity(task, second);
+  machine_->kernel().SetAffinity(other, first);
+  machine_->kernel().Wake(task);
+  const std::vector<Message> msgs = DrainDefault();
+  ASSERT_EQ(msgs.size(), 6u);
+  EXPECT_EQ(msgs[0].type, MessageType::kTaskNew);
+  EXPECT_EQ(msgs[1].type, MessageType::kTaskNew);
+  ASSERT_NE(msgs[0].affinity, nullptr);
+  EXPECT_EQ(msgs[0].affinity->Count(), CpuMask::kMaxCpus);
+  EXPECT_EQ(msgs[0].affinity, msgs[1].affinity) << "equal masks are interned once";
+  for (int i = 2; i < 5; ++i) {
+    EXPECT_EQ(msgs[i].type, MessageType::kTaskAffinity);
+    ASSERT_NE(msgs[i].affinity, nullptr);
+  }
+  EXPECT_EQ(msgs[2].tid, task->tid());
+  EXPECT_EQ(*msgs[2].affinity, first);
+  EXPECT_EQ(msgs[3].tid, task->tid());
+  EXPECT_EQ(*msgs[3].affinity, second);
+  EXPECT_EQ(msgs[4].tid, other->tid());
+  EXPECT_EQ(msgs[4].affinity, msgs[2].affinity) << "equal masks are interned once";
+  EXPECT_EQ(enclave_->InternMask(second), msgs[3].affinity);
+  EXPECT_EQ(msgs[5].type, MessageType::kTaskWakeup);
+  EXPECT_EQ(msgs[5].affinity, nullptr) << "only new-thread and affinity messages carry one";
+}
+
+TEST(EnclaveFindTest, AnswersOnlyForThreadsThisEnclaveManages) {
+  SimulationContext machine({.topology = SmallTopo(4)});
+  Kernel& kernel = machine.kernel();
+  CpuMask a_cpus = CpuMask::Single(0);
+  a_cpus.Set(1);
+  CpuMask b_cpus = CpuMask::Single(2);
+  b_cpus.Set(3);
+  std::unique_ptr<Enclave> a = machine.CreateEnclave(a_cpus);
+  std::unique_ptr<Enclave> b = machine.CreateEnclave(b_cpus);
+
+  Task* mine = kernel.CreateTask("mine");
+  a->AddTask(mine);
+  Task* theirs = kernel.CreateTask("theirs");
+  b->AddTask(theirs);
+  Task* departed = kernel.CreateTask("departed");
+  a->AddTask(departed);
+  a->RemoveTask(departed);
+  Task* dead = kernel.CreateTask("dead");
+  a->AddTask(dead);
+  kernel.StartBurst(dead, Microseconds(1), [&kernel](Task* t) { kernel.Exit(t); });
+  kernel.Wake(dead);
+  machine.RunFor(Microseconds(1));
+  Transaction txn;
+  txn.tid = dead->tid();
+  txn.target_cpu = 1;
+  Transaction* ptr = &txn;
+  a->TxnsCommit(std::span<Transaction*>(&ptr, 1), nullptr, [](int) { return Duration{0}; });
+  ASSERT_EQ(txn.status, TxnStatus::kCommitted);
+  machine.RunFor(Milliseconds(1));
+  ASSERT_EQ(dead->state(), TaskState::kDead);
+
+  ASSERT_NE(a->Find(mine->tid()), nullptr);
+  EXPECT_EQ(a->Find(mine->tid())->task, mine);
+  EXPECT_EQ(kernel.TaskByTid(mine->tid()), mine);
+  const auto past_last = static_cast<int64_t>(kernel.tasks().size()) + 1;
+  for (int64_t tid : {int64_t{0}, int64_t{-1}, std::numeric_limits<int64_t>::min(), past_last,
+                      departed->tid(), dead->tid(), theirs->tid()}) {
+    EXPECT_EQ(a->Find(tid), nullptr) << "tid " << tid;
+  }
+  EXPECT_EQ(kernel.TaskByTid(0), nullptr);
+  EXPECT_EQ(kernel.TaskByTid(past_last), nullptr);
+  ASSERT_NE(b->Find(theirs->tid()), nullptr);
+  EXPECT_EQ(b->Find(mine->tid()), nullptr);
+  EXPECT_EQ(a->num_tasks(), 1);
 }
 
 TEST_F(GhostTest, TimerTickMessagesWhileGhostThreadRuns) {

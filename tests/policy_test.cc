@@ -5,6 +5,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/agent/agent_process.h"
 #include "src/agent/sdk/runqueue.h"
@@ -26,7 +27,8 @@ Message Msg(MessageType type, int64_t tid, uint32_t tseq, bool runnable = false)
   msg.tid = tid;
   msg.tseq = tseq;
   msg.runnable = runnable;
-  msg.affinity.SetAll();
+  static const CpuMask kAll = CpuMask::AllUpTo(CpuMask::kMaxCpus);
+  msg.affinity = &kAll;
   return msg;
 }
 
@@ -76,6 +78,44 @@ TEST(TaskTableTest, UnknownAndCpuMessagesAreIgnored) {
   tick.tid = 0;
   EXPECT_EQ(table.Apply(tick, &task), TaskTable::Event::kNone);
   EXPECT_EQ(task, nullptr);
+}
+
+TEST(TaskTableTest, AddRemoveClearAndSortedTids) {
+  TaskTable table;
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_TRUE(table.SortedTids().empty());
+  for (int64_t tid : {9, 3, 12, 1}) {
+    table.Add(tid);
+  }
+  EXPECT_EQ(table.size(), 4u);
+  EXPECT_EQ(table.SortedTids(), (std::vector<int64_t>{1, 3, 9, 12}));
+  PolicyTask* nine = table.Find(9);
+  ASSERT_NE(nine, nullptr);
+  EXPECT_EQ(nine->tid, 9);
+  EXPECT_EQ(nine->affinity.Count(), CpuMask::kMaxCpus) << "a new entry may run anywhere";
+  EXPECT_EQ(nine->home_cpu, -1);
+  for (int64_t tid : {int64_t{0}, int64_t{-1}, int64_t{13}, int64_t{1000}}) {
+    EXPECT_EQ(table.Find(tid), nullptr) << "tid " << tid;
+  }
+
+  table.Remove(3);
+  table.Remove(3);    // already gone: no effect
+  table.Remove(100);  // never tracked: no effect
+  EXPECT_EQ(table.size(), 3u);
+  EXPECT_EQ(table.Find(3), nullptr);
+  EXPECT_EQ(table.SortedTids(), (std::vector<int64_t>{1, 9, 12}));
+
+  PolicyTask* again = table.Add(9);  // re-adding replaces the entry
+  EXPECT_NE(again, nine);
+  EXPECT_EQ(table.Find(9), again);
+  EXPECT_EQ(table.size(), 3u);
+
+  table.Clear();
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_TRUE(table.SortedTids().empty());
+  EXPECT_EQ(table.Find(1), nullptr);
+  table.Add(2);
+  EXPECT_EQ(table.SortedTids(), (std::vector<int64_t>{2}));
 }
 
 // --- Runqueues ------------------------------------------------------------------------

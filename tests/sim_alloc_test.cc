@@ -9,10 +9,10 @@
 // pre-slab and post-slab profiles, so the budget here is exactly zero.
 //
 // Also holds the unit tests for the allocators themselves: Slab<T> reuse,
-// lazy fill, generation-checked handles, deterministic Clear(), and TidMap's
-// backward-shift deletion; and the footprint tests: storage that a
-// simulated machine may never use (queue slots, histogram buckets) is
-// requested on first use, so building a machine stays cheap.
+// lazy fill, generation-checked handles and deterministic Clear(); and the
+// footprint tests: storage that a simulated machine may never use (queue
+// slots, histogram buckets) is requested on first use, so building a machine
+// stays cheap.
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -24,7 +24,6 @@
 #include <gtest/gtest.h>
 
 #include "src/agent/agent_process.h"
-#include "src/base/flat_map.h"
 #include "src/base/histogram.h"
 #include "src/base/slab.h"
 #include "src/ghost/message_queue.h"
@@ -214,46 +213,6 @@ TEST(SlabTest, WarmSlabDoesNotAllocate) {
   }
   EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), before)
       << "warm New/Delete cycles must not touch the heap";
-}
-
-// ---- TidMap ----------------------------------------------------------------
-
-TEST(TidMapTest, InsertFindEraseAcrossRehash) {
-  TidMap<int> map;
-  for (int64_t tid = 0; tid < 1000; ++tid) {
-    map.Insert(tid, static_cast<int>(tid * 3));
-  }
-  EXPECT_EQ(map.size(), 1000u);
-  for (int64_t tid = 0; tid < 1000; ++tid) {
-    const int* v = map.Find(tid);
-    ASSERT_NE(v, nullptr) << tid;
-    EXPECT_EQ(*v, tid * 3);
-  }
-  // Erase every other key; survivors must stay reachable (backward-shift
-  // deletion must not break probe chains).
-  for (int64_t tid = 0; tid < 1000; tid += 2) {
-    EXPECT_TRUE(map.Erase(tid));
-  }
-  EXPECT_EQ(map.size(), 500u);
-  for (int64_t tid = 0; tid < 1000; ++tid) {
-    const int* v = map.Find(tid);
-    if (tid % 2 == 0) {
-      EXPECT_EQ(v, nullptr) << tid;
-    } else {
-      ASSERT_NE(v, nullptr) << tid;
-      EXPECT_EQ(*v, tid * 3);
-    }
-  }
-  EXPECT_FALSE(map.Erase(0)) << "double erase must report absence";
-}
-
-TEST(TidMapTest, InsertOverwritesExistingKey) {
-  TidMap<int> map;
-  map.Insert(42, 1);
-  map.Insert(42, 2);
-  EXPECT_EQ(map.size(), 1u);
-  ASSERT_NE(map.Find(42), nullptr);
-  EXPECT_EQ(*map.Find(42), 2);
 }
 
 // ---- Full-stack steady state ----------------------------------------------
