@@ -1,10 +1,10 @@
 // Steady-state allocation test for the event engine.
 //
 // The timing wheel pools event slots and InlineCallback stores captures
-// inline, so once the slab and ready list are warm, scheduling / firing /
-// cancelling events must not touch the heap at all. This test overrides
-// global operator new/delete with counting shims and drives >1M events
-// through a warmed loop, requiring an allocation delta of exactly zero.
+// inline, so once the slab is warm, scheduling / firing / cancelling events
+// must not touch the heap at all. This test overrides global operator
+// new/delete with counting shims and drives >1M events through a warmed
+// loop, requiring an allocation delta of exactly zero.
 //
 // Runs the workload the engine sees in production: staggered periodic ticks
 // (one per simulated CPU) whose callbacks schedule oneshot events, a
@@ -101,8 +101,8 @@ TEST(EventAllocTest, SteadyStateIsAllocationFree) {
     });
   }
 
-  // Warm up: grow the slab, the ready list, and every wheel bucket the
-  // steady state will touch.
+  // Warm up: grow the slab and every wheel bucket the steady state will
+  // touch.
   loop.RunUntil(50 * kPeriod);
   const uint64_t warm_executed = loop.executed_count();
   ASSERT_GT(warm_executed, 1000u);
